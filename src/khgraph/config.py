@@ -3,20 +3,43 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import bodies, psi
 from .errors import ConfigError, StrictConvexityError
 
+# the one home of the solver's defaults and limits; solver and grid import them
 DEFAULT_GRID = (64, 128)
-DEFAULT_SCHEDULE = [0.4, 0.2, 0.1, 0.05, 0.025]
-DEFAULT_NEWTON_TOL = 1e-10
-DEFAULT_SPD_FLOOR = 1e-8
+MIN_GRID = (8, 16)  # fewest rings and rays a grid may have
+DEFAULT_EPS_SCHEDULE = (0.4, 0.2, 0.1, 0.05, 0.025)
+NEWTON_TOL = 1e-10
+SPD_FLOOR = 1e-8
 
-_BODY_KINDS = ("ball", "ellipse", "superellipse")
-_PSI_KINDS = ("constant", "normal-only", "exponential")
+
+def _number(v) -> bool:
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _list_of(n: int, item=_number):
+    return lambda v: isinstance(v, list) and len(v) == n and all(map(item, v))
+
+
+# the keys each kind allows, with the type check of each value
+_BODY_KEYS = {
+    "ball": {"radius": _number, "center": _list_of(2)},
+    "ellipse": {"semi_axes": _list_of(2), "center": _list_of(2), "angle": _number},
+    "superellipse": {"semi_axes": _list_of(2), "exponent": _number,
+                     "center": _list_of(2), "blend": _number},
+}
+# linear and quadratic act on the unit normal in R^3
+_PSI_KEYS = {
+    "constant": {"value": _number},
+    "normal-only": {"const": _number, "linear": _list_of(3),
+                    "quadratic": _list_of(3, _list_of(3))},
+    "exponential": {"eps": _number, "base": None},
+}
 
 
 @dataclass
@@ -27,12 +50,9 @@ class ProblemConfig:
     omega_star: dict
     psi: dict
     grid: tuple = DEFAULT_GRID
-    continuation: list = field(default_factory=lambda: list(DEFAULT_SCHEDULE))
+    continuation: list = field(default_factory=lambda: list(DEFAULT_EPS_SCHEDULE))
     tolerances: dict = field(
-        default_factory=lambda: {
-            "newton_tol": DEFAULT_NEWTON_TOL,
-            "spd_floor": DEFAULT_SPD_FLOOR,
-        }
+        default_factory=lambda: {"newton_tol": NEWTON_TOL, "spd_floor": SPD_FLOOR}
     )
 
     def build_omega(self) -> bodies.ConvexBody:
@@ -44,46 +64,33 @@ class ProblemConfig:
     def build_psi(self) -> psi.PsiSpec:
         return build_psi(self.psi, "psi")
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "k": self.k,
-            "omega": self.omega,
-            "omega_star": self.omega_star,
-            "psi": self.psi,
-            "grid": list(self.grid),
-            "continuation": list(self.continuation),
-            "tolerances": dict(self.tolerances),
-        }
 
-
-def _reject_unknown(d: dict, allowed, where: str) -> None:
-    for key in d:
-        if key not in allowed:
+def _check_keys(d: dict, checks: dict, where: str) -> None:
+    """Reject unknown keys and values that fail their key's type check."""
+    for key, value in d.items():
+        if key not in checks:
             raise ConfigError(f"{where}.{key}", "unknown key")
+        if checks[key] is not None and not checks[key](value):
+            raise ConfigError(f"{where}.{key}", "value of the wrong type or shape")
 
 
 def build_body(spec: dict, where: str) -> bodies.ConvexBody:
     if not isinstance(spec, dict):
         raise ConfigError(where, "body spec must be an object")
     kind = spec.get("kind")
-    if kind not in _BODY_KINDS:
-        raise ConfigError(f"{where}.kind", f"must be one of {_BODY_KINDS}")
+    if kind not in _BODY_KEYS:
+        raise ConfigError(f"{where}.kind", f"must be one of {tuple(_BODY_KEYS)}")
+    _check_keys(spec, {"kind": None, **_BODY_KEYS[kind]}, where)
     if kind == "ball":
-        _reject_unknown(spec, {"kind", "radius", "center"}, where)
         if "radius" not in spec or spec["radius"] <= 0:
             raise ConfigError(f"{where}.radius", "positive radius required")
         body = bodies.ball(spec["radius"], spec.get("center"))
     elif kind == "ellipse":
-        _reject_unknown(spec, {"kind", "semi_axes", "center", "angle"}, where)
         axes = spec.get("semi_axes")
         if not axes or len(axes) != 2 or min(axes) <= 0:
             raise ConfigError(f"{where}.semi_axes", "two positive semi-axes required")
         body = bodies.ellipse(axes, spec.get("center"), spec.get("angle", 0.0))
     else:
-        _reject_unknown(
-            spec, {"kind", "semi_axes", "exponent", "center", "blend"}, where
-        )
         axes = spec.get("semi_axes")
         if not axes or len(axes) != 2 or min(axes) <= 0:
             raise ConfigError(f"{where}.semi_axes", "two positive semi-axes required")
@@ -108,16 +115,15 @@ def build_psi(spec: dict, where: str) -> psi.PsiSpec:
     if not isinstance(spec, dict):
         raise ConfigError(where, "psi spec must be an object")
     kind = spec.get("kind")
-    if kind not in _PSI_KINDS:
-        raise ConfigError(f"{where}.kind", f"must be one of {_PSI_KINDS}")
+    if kind not in _PSI_KEYS:
+        raise ConfigError(f"{where}.kind", f"must be one of {tuple(_PSI_KEYS)}")
+    _check_keys(spec, {"kind": None, **_PSI_KEYS[kind]}, where)
     if kind == "constant":
-        _reject_unknown(spec, {"kind", "value"}, where)
         value = spec.get("value")
         if value is None or value <= 0:
             raise ConfigError(f"{where}.value", "positive value required")
         return psi.constant_psi(value)
     if kind == "normal-only":
-        _reject_unknown(spec, {"kind", "const", "linear", "quadratic"}, where)
         const = spec.get("const")
         if const is None or const <= 0:
             raise ConfigError(f"{where}.const", "positive constant term required")
@@ -127,7 +133,6 @@ def build_psi(spec: dict, where: str) -> psi.PsiSpec:
             )
         except ValueError as exc:
             raise ConfigError(where, str(exc)) from exc
-    _reject_unknown(spec, {"kind", "eps", "base"}, where)
     eps = spec.get("eps")
     if eps is None or eps < 0:
         raise ConfigError(f"{where}.eps", "nonnegative eps required")
@@ -140,8 +145,10 @@ def build_psi(spec: dict, where: str) -> psi.PsiSpec:
 def parse_config(text: str) -> ProblemConfig:
     """Parse and validate a JSON problem configuration.
 
-    Unknown keys are rejected anywhere in the document; body parameters are
-    probed for strict convexity at parse time so invalid shapes fail early.
+    Unknown keys and values of the wrong type are rejected anywhere in the
+    document, and so is anything run_solve cannot take (dimension other than
+    2, a grid below MIN_GRID); body parameters are probed for strict
+    convexity at parse time so invalid shapes fail early.
     """
     try:
         raw = json.loads(text)
@@ -159,29 +166,30 @@ def parse_config(text: str) -> ProblemConfig:
         "continuation",
         "tolerances",
     }
-    _reject_unknown(raw, allowed, "<top>")
+    _check_keys(raw, dict.fromkeys(allowed), "<top>")
     for key in ("dimension", "k", "omega", "omega_star", "psi"):
         if key not in raw:
             raise ConfigError(key, "required key missing")
     dimension = raw["dimension"]
-    if not isinstance(dimension, int) or dimension < 2:
-        raise ConfigError("dimension", "integer >= 2 required")
+    if type(dimension) is not int or dimension != 2:
+        raise ConfigError("dimension", "the solver is planar: 2 required")
     k = raw["k"]
-    if not isinstance(k, int) or not 1 <= k <= dimension:
+    if type(k) is not int or not 1 <= k <= dimension:
         raise ConfigError("k", f"integer in 1..{dimension} required")
 
     grid = raw.get("grid", list(DEFAULT_GRID))
     if (
         not isinstance(grid, (list, tuple))
         or len(grid) != 2
-        or any(not isinstance(g, int) or g <= 0 for g in grid)
+        or any(type(g) is not int or g < m for g, m in zip(grid, MIN_GRID))
     ):
-        raise ConfigError("grid", "expected [N_r, N_theta] positive integers")
+        raise ConfigError("grid", f"expected [N_r, N_theta] integers >= {list(MIN_GRID)}")
 
-    continuation = raw.get("continuation", list(DEFAULT_SCHEDULE))
+    continuation = raw.get("continuation", list(DEFAULT_EPS_SCHEDULE))
     if (
         not isinstance(continuation, list)
         or not continuation
+        or not all(map(_number, continuation))
         or any(e <= 0 for e in continuation)
         or any(
             continuation[i + 1] >= continuation[i]
@@ -191,10 +199,12 @@ def parse_config(text: str) -> ProblemConfig:
         raise ConfigError("continuation", "strictly decreasing positive eps list")
 
     tol_raw = raw.get("tolerances", {})
-    _reject_unknown(tol_raw, {"newton_tol", "spd_floor"}, "tolerances")
+    if not isinstance(tol_raw, dict):
+        raise ConfigError("tolerances", "must be an object")
+    _check_keys(tol_raw, {"newton_tol": _number, "spd_floor": _number}, "tolerances")
     tolerances = {
-        "newton_tol": float(tol_raw.get("newton_tol", DEFAULT_NEWTON_TOL)),
-        "spd_floor": float(tol_raw.get("spd_floor", DEFAULT_SPD_FLOOR)),
+        "newton_tol": float(tol_raw.get("newton_tol", NEWTON_TOL)),
+        "spd_floor": float(tol_raw.get("spd_floor", SPD_FLOOR)),
     }
     if tolerances["newton_tol"] <= 0 or tolerances["spd_floor"] <= 0:
         raise ConfigError("tolerances", "tolerances must be positive")

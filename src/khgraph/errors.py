@@ -114,7 +114,11 @@ class NonConvergenceError(NewtonError):
 
 
 class ContinuationError(KHGraphError):
-    """A continuation level failed; carries the levels completed so far."""
+    """A continuation level failed; carries the levels completed so far.
+
+    completed_levels holds one record per completed level, in order: a dict
+    with its eps, Newton iterations, final residual and primal mean_u.
+    """
 
     def __init__(self, message, completed_levels):
         self.completed_levels = completed_levels

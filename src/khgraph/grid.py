@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bodies import ConvexBody, gauge_map
+from .config import MIN_GRID
 from .errors import GridConstructionError
 from .meshfree import jet_weight_rows
 
@@ -121,7 +122,7 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
     """Construct the grid and validated stencil tables."""
     if body.dim != 2:
         raise GridConstructionError("grids are planar (n = 2) only")
-    if n_r < 8 or n_theta < 16:
+    if n_r < MIN_GRID[0] or n_theta < MIN_GRID[1]:
         raise GridConstructionError("need N_r >= 8 and N_theta >= 16")
     # boundary-clustered radii with stretch ~2x inner-to-outer; r_{N_r} = 1
     s = np.arange(1, n_r + 1) / n_r
@@ -129,18 +130,12 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
     thetas = np.arange(n_theta) * 2.0 * np.pi / n_theta
 
     n_nodes = n_r * n_theta
-    nodes = np.empty((n_nodes, 2))
-    for j in range(1, n_r + 1):
-        for i in range(n_theta):
-            pt = gauge_map(body, radii[j - 1], thetas[i])
-            nodes[(j - 1) * n_theta + i] = pt
+    nodes = gauge_map(body, radii[:, None], thetas[None, :]).reshape(n_nodes, 2)
     # star-shapedness / boundary placement sanity
     bidx = np.arange((n_r - 1) * n_theta, n_nodes)
-    for idx in bidx:
-        if abs(body.h(nodes[idx])) > 1e-12 * max(1.0, body.bounding_radius):
-            raise GridConstructionError(
-                f"boundary node off the zero level: |h| = {abs(body.h(nodes[idx])):.3e}"
-            )
+    level = float(np.abs(body.h(nodes[bidx])).max())
+    if level > 1e-12 * max(1.0, body.bounding_radius):
+        raise GridConstructionError(f"boundary node off the zero level: |h| = {level:.3e}")
 
     is_boundary = np.zeros(n_nodes, dtype=bool)
     is_boundary[bidx] = True
@@ -157,9 +152,7 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
     ring_gap = np.linalg.norm(last - prev, axis=1).max()
     spacing = float(max(ray_gap, ring_gap))
 
-    normals = np.stack(
-        [np.asarray(body.grad_h(p), dtype=float) for p in last]
-    )
+    normals = body.grad_h(last)
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
 
@@ -306,18 +299,8 @@ def _quad_weights(body: ConvexBody, radii: np.ndarray, thetas: np.ndarray) -> np
     Integrates f over the body: the gauge map (r, theta) -> c + r rho(theta) d(theta)
     has area element r rho(theta)^2 dr dtheta.
     """
-    n_r, n_theta = radii.size, thetas.size
-    ext = np.concatenate([[0.0], radii])
-    w_rad = np.zeros(n_r)
-    for j in range(1, n_r + 1):
-        left = ext[j] - ext[j - 1]
-        right = (ext[j + 1] - ext[j]) if j < n_r else 0.0
-        w_rad[j - 1] = 0.5 * (left + right)
-    rho2 = np.array([body.gauge_radius(t) ** 2 for t in thetas])
-    dtheta = 2.0 * np.pi / n_theta
-    weights = np.empty(n_r * n_theta)
-    for j in range(n_r):
-        weights[j * n_theta : (j + 1) * n_theta] = (
-            w_rad[j] * radii[j] * rho2 * dtheta
-        )
-    return weights
+    gaps = np.diff(radii, prepend=0.0)
+    w_rad = 0.5 * (gaps + np.append(gaps[1:], 0.0))
+    rho2 = body.gauge_radius(thetas) ** 2
+    dtheta = 2.0 * np.pi / thetas.size
+    return ((w_rad * radii)[:, None] * rho2[None, :] * dtheta).ravel()

@@ -14,6 +14,10 @@ from .grid import build_grid
 from .report import SolveReport, write_grid_csv
 
 
+def _residual_history(levels: list) -> list:
+    return [[h["eps"], h["iterations"], h["residual"]] for h in levels]
+
+
 def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
     """Execute continuation, recovery and diagnostics; write artifacts.
 
@@ -28,7 +32,6 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
     psi_base = cfg.build_psi()
     t0 = time.perf_counter()
     grid = build_grid(omega_star, cfg.grid[0], cfg.grid[1])
-    problem = solver.DualProblem(grid, omega, cfg.k, psi_base)
     try:
         state = solver.continuation_solve(
             grid,
@@ -40,12 +43,9 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
             spd_floor=cfg.tolerances["spd_floor"],
         )
     except ContinuationError as exc:
-        partial = [
-            [float(eps), int(0), float("nan")] for eps, _ in exc.completed_levels
-        ]
         report = SolveReport(
             c_estimate=float("nan"),
-            residual_history=partial,
+            residual_history=_residual_history(exc.completed_levels),
             chi_min=float("nan"),
             M=float("nan"),
             M_tilde=float("nan"),
@@ -58,6 +58,7 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
             fh.write(report.to_json())
         raise
 
+    problem = state.problem
     recovery = solver.recover_primal(state, problem)
     diag = solver.diagnostics(state, problem)
 
@@ -69,9 +70,7 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
     tol = cfg.tolerances["newton_tol"]
     report = SolveReport(
         c_estimate=state.diagnostics["c_estimate"],
-        residual_history=[
-            [h["eps"], h["iterations"], h["residual"]] for h in state.history
-        ],
+        residual_history=_residual_history(state.history),
         chi_min=diag["chi_min"],
         M=diag["M"],
         M_tilde=diag["M_tilde"],

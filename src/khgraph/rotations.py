@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import chart_metric_inv, project, unproject
+from .duality import chart_metric_inv, unproject
 from .errors import HemisphereExitError, PreconditionError
 from .geometry import Jet2
 
@@ -301,13 +301,14 @@ def differentiated_equation_check(
                 for si in (-1.0, 1.0):
                     for sj in (-1.0, 1.0):
                         offsets.append(h * (si * np.eye(n)[i] + sj * np.eye(n)[j]))
-        for off in offsets:
-            if body.h(point + off) < 0.0:
-                raise PreconditionError(
-                    "finite-difference probe leaves the domain",
-                    -float(body.h(point + off)),
-                    0.0,
-                )
+        levels = body.h(point + np.array(offsets))
+        outside = levels < 0.0
+        if outside.any():
+            raise PreconditionError(
+                "finite-difference probe leaves the domain",
+                -float(levels[outside][0]),
+                0.0,
+            )
 
     hess_phi = np.empty((n, n))
     phi0 = phi(point)

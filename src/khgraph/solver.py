@@ -27,29 +27,27 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import duality, geometry, rotations
+from . import duality, geometry, rotations, symfun
 from .bodies import ConvexBody
+from .config import DEFAULT_EPS_SCHEDULE, NEWTON_TOL, SPD_FLOOR
 from .errors import (
     ConeViolationError,
     ContinuationError,
     LineSearchStallError,
     NonConvergenceError,
-    OutOfImageError,
     SingularJacobianError,
 )
 from .grid import Grid
 from .psi import PsiSpec, exponential_psi
 
-SPD_FLOOR = 1e-8
-NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 200
 ARMIJO = 1e-4
-DEFAULT_EPS_SCHEDULE = (0.4, 0.2, 0.1, 0.05, 0.025)
 
 
 @dataclass
 class SolverState:
     grid: Grid
+    problem: DualProblem
     u_star: np.ndarray
     eps: float
     residual_norm: float
@@ -65,16 +63,6 @@ class SolverState:
 # batched dual-operator evaluation (hot path; cross-checked against symfun)
 
 
-def _sigma_batch(lams: np.ndarray) -> np.ndarray:
-    """Elementary symmetric functions e_0..e_n along the last axis, batched."""
-    m, n = lams.shape
-    e = np.zeros((m, n + 1))
-    e[:, 0] = 1.0
-    for i in range(n):
-        e[:, 1 : i + 2] = e[:, 1 : i + 2] + lams[:, i : i + 1] * e[:, 0 : i + 1]
-    return e
-
-
 def dual_operator_batch(mats: np.ndarray, k: int):
     """(F*, dF*/dA) of the quotient operator on a batch of SPD matrices.
 
@@ -87,14 +75,14 @@ def dual_operator_batch(mats: np.ndarray, k: int):
         bad = np.where(lam[:, 0] <= 0.0)[0]
         raise ConeViolationError(lam[bad[0]], nodes=bad)
     m, n = lam.shape
-    e = _sigma_batch(lam)
+    e = symfun.sigma_all(lam)
     sn = e[:, n]
     snk = e[:, n - k]
     value = (sn / snk) ** (1.0 / k)
     # per-eigenvalue partials via drop-one elementary symmetric functions
     phi = np.empty((m, n))
     for p in range(n):
-        drop = _sigma_batch(np.delete(lam, p, axis=1))
+        drop = symfun.sigma_all(np.delete(lam, p, axis=1))
         dsn = drop[:, n - 1]
         dsnk = drop[:, n - k - 1] if n - k >= 1 else np.zeros(m)
         phi[:, p] = (value / k) * (dsn / sn - dsnk / snk)
@@ -121,8 +109,6 @@ class DualProblem:
         self.psi_base = psi_base
         y = grid.nodes
         self.wstar = np.sqrt(1.0 + (y * y).sum(axis=1))
-        n = y.shape[0]
-        self.bstar = np.empty((n, 2, 2))
         outer = np.einsum("mi,mj->mij", y, y)
         self.bstar = np.eye(2)[None, :, :] + outer / (1.0 + self.wstar)[:, None, None]
         self.interior = grid.interior_idx
@@ -148,9 +134,7 @@ class DualProblem:
         return 0.5 * (a + a.transpose(0, 2, 1))
 
     def boundary_h(self, du: np.ndarray):
-        vals = np.array([self.omega.h(p) for p in du])
-        grads = np.stack([np.asarray(self.omega.grad_h(p), float) for p in du])
-        return vals, grads
+        return self.omega.h(du), self.omega.grad_h(du)
 
     def residual(self, u: np.ndarray, eps: float) -> np.ndarray:
         """Residual vector; raises ConeViolationError off the convex cone."""
@@ -205,13 +189,11 @@ def initial_guess(grid: Grid, omega: ConvexBody, n_fit: int = 16) -> np.ndarray:
     alpha and beta are chosen so the gradient map of the guess carries
     boundary samples of the target domain near the boundary of omega.
     """
-    idx = grid.boundary_idx[:: max(1, grid.n_theta // n_fit)]
-    yb = grid.nodes[idx]
+    stride = max(1, grid.n_theta // n_fit)
+    yb = grid.nodes[grid.boundary_idx[::stride]]
     wb = np.sqrt(1.0 + (yb * yb).sum(axis=1))
     # match by gauge angle: boundary point of omega on the same ray
-    targets = np.stack(
-        [omega.boundary_param(t) for t in grid.thetas[:: max(1, grid.n_theta // n_fit)]]
-    )[: yb.shape[0]]
+    targets = omega.boundary_param(grid.thetas[::stride])
     design = np.concatenate(
         [(yb / wb[:, None]).reshape(-1, 1), np.tile(np.eye(2), (yb.shape[0], 1))],
         axis=1,
@@ -346,8 +328,9 @@ def continuation_solve(
     """Solve along a decreasing eps schedule, warm-starting each level.
 
     c_estimate extrapolates k * eps * mean(u_eps) linearly in eps to zero
-    from the last two levels; mean_u and the normalized u_hat of the final
-    level are recorded in the diagnostics.
+    from the last two levels; mean_u of the final level is recorded in the
+    diagnostics.  A failing level raises ContinuationError carrying the
+    history records of the levels completed before it.
     """
     schedule = list(eps_schedule)
     if any(e <= 0 for e in schedule) or any(
@@ -358,7 +341,6 @@ def continuation_solve(
     u = initial_guess(grid, omega)
     history = []
     logc = []
-    completed = []
     for eps in schedule:
         try:
             u, iters, hist = newton_solve(
@@ -366,13 +348,12 @@ def continuation_solve(
             )
         except (NonConvergenceError, LineSearchStallError, SingularJacobianError) as exc:
             raise ContinuationError(
-                f"continuation failed at eps = {eps:g}: {exc}", completed
+                f"continuation failed at eps = {eps:g}: {exc}", history
             ) from exc
         mean_u = primal_mean(problem, u)
         history.append({"eps": eps, "iterations": iters, "residual": hist[-1],
                         "mean_u": mean_u})
         logc.append(k * eps * mean_u)
-        completed.append((eps, u.copy()))
     if len(logc) >= 2:
         e1, e2 = schedule[-2], schedule[-1]
         g1, g2 = logc[-2], logc[-1]
@@ -381,6 +362,7 @@ def continuation_solve(
         logc0 = logc[-1]
     state = SolverState(
         grid=grid,
+        problem=problem,
         u_star=u,
         eps=schedule[-1],
         residual_norm=history[-1]["residual"],
@@ -389,7 +371,6 @@ def continuation_solve(
     state.diagnostics.update(
         c_estimate=float(np.exp(logc0)),
         mean_u=history[-1]["mean_u"],
-        u_hat=u - float(u.mean()),
     )
     return state
 
@@ -420,7 +401,7 @@ def recover_primal(
     jets = state.jets()
     n_b = n_boundary or grid.n_theta
     thetas = np.linspace(0.0, 2.0 * np.pi, n_b, endpoint=False)
-    bnd_x = np.stack([problem.omega.boundary_param(t) for t in thetas])
+    bnd_x = problem.omega.boundary_param(thetas)
     # seed the inversion from the boundary node whose image is closest
     images = du[grid.boundary_idx]
     ys = np.empty_like(bnd_x)
@@ -430,8 +411,8 @@ def recover_primal(
         yq, _, _ = duality.invert_gradient_map(jets, x, seed, tol=1e-10)
         ys[i] = yq
     target = grid.body
-    defect = max(abs(float(target.h(y))) for y in ys)
-    bnd_star = np.stack([target.boundary_param(t) for t in thetas])
+    defect = float(np.abs(target.h(ys)).max())
+    bnd_star = target.boundary_param(thetas)
     hausdorff = _hausdorff(ys, bnd_star)
     return PrimalRecovery(
         points=du,
@@ -458,12 +439,13 @@ def diagnostics(state: SolverState, problem: DualProblem) -> dict:
     m_big = float(lam[:, -1].max())
 
     bidx = grid.boundary_idx
+    # interior unit normals of the source boundary at the points x = Du*
+    nus = problem.omega.grad_h(du[bidx])
+    nus /= np.linalg.norm(nus, axis=1)[:, None]
     chi_def = np.empty(bidx.size)
     chi_formula = np.empty(bidx.size)
-    for i, idx in enumerate(bidx):
+    for i, (idx, nu) in enumerate(zip(bidx, nus)):
         x = du[idx]  # point on the source boundary
-        nu = np.asarray(problem.omega.grad_h(x), float)
-        nu = nu / np.linalg.norm(nu)
         # primal jet at x through the Legendre pairing
         jet = geometry.Jet2(
             point=x,
@@ -510,8 +492,6 @@ def differentiated_equation_defect(
     phi = w * (t_vec * dv).sum(axis=1)
     hphi = grid.hessians(phi)[node]
     a = problem.argument_matrices(u)[node]
-    from . import symfun
-
     op = symfun.eval_operator(symfun.SpectrumRequest(a, problem.k, "dual"))
     b = duality.bstar(y[node])
     lhs = float(np.sum(op.gradient * (w[node] * (b @ hphi @ b))))

@@ -37,16 +37,18 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def sigma_all(lam: np.ndarray) -> np.ndarray:
-    """All elementary symmetric functions e_0..e_n of the entries of lam.
+    """Elementary symmetric functions e_0..e_n along the last axis of lam.
 
     Prefix-polynomial recurrence: expand prod_i (1 + lam_i t) and read off the
-    coefficients.  O(n^2), stable for mixed magnitudes.
+    coefficients.  O(n^2), stable for mixed magnitudes.  Broadcasts over
+    leading axes: lam (..., n) gives (..., n + 1).
     """
-    lam = np.asarray(lam, dtype=float).ravel()
-    e = np.zeros(lam.size + 1)
-    e[0] = 1.0
-    for i, x in enumerate(lam):
-        e[1 : i + 2] = e[1 : i + 2] + x * e[0 : i + 1]
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    e = np.zeros(lam.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    for i in range(n):
+        e[..., 1 : i + 2] = e[..., 1 : i + 2] + lam[..., i : i + 1] * e[..., 0 : i + 1]
     return e
 
 

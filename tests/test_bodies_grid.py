@@ -90,6 +90,47 @@ class TestDefiningFunctions:
                 assert abs(body.h(via_gauge)) <= 1e-10
 
 
+class TestOracleContract:
+    """Every oracle broadcasts over leading axes and agrees with its per-point calls."""
+
+    @staticmethod
+    def inside_points(body, m, seed):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0, 2 * np.pi, m)
+        r = rng.uniform(0.3, 0.9, m)
+        rho = np.array([body.gauge_radius(ti) for ti in t])
+        return body.interior_point + (r * rho)[:, None] * np.stack(
+            [np.cos(t), np.sin(t)], axis=1
+        )
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    @pytest.mark.parametrize("lead", [(7,), (3, 4)])
+    def test_point_oracles(self, name, lead):
+        body = BODIES[name]()
+        pts = self.inside_points(body, int(np.prod(lead)), seed=len(lead))
+        batch = pts.reshape(lead + (2,))
+        for oracle, tail in ((body.h, ()), (body.grad_h, (2,)), (body.hess_h, (2, 2))):
+            out = np.asarray(oracle(batch))
+            assert out.shape == lead + tail
+            loop = np.stack([np.asarray(oracle(p)) for p in pts])
+            np.testing.assert_allclose(out.reshape(loop.shape), loop, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    @pytest.mark.parametrize("lead", [(7,), (3, 4)])
+    def test_angle_oracles(self, name, lead):
+        body = BODIES[name]()
+        thetas = np.random.default_rng(5).uniform(0, 2 * np.pi, lead)
+        for oracle, tail in (
+            (body.boundary_param, (2,)),
+            (body.boundary_tangent, (2,)),
+            (body.gauge_radius, ()),
+        ):
+            out = np.asarray(oracle(thetas))
+            assert out.shape == lead + tail
+            loop = np.stack([np.asarray(oracle(t)) for t in thetas.ravel()])
+            np.testing.assert_allclose(out.reshape(loop.shape), loop, rtol=0, atol=1e-12)
+
+
 class TestGrid:
     def test_disk_counts_and_boundary_ring(self):
         g = build_grid(bodies.ball(1.0), 8, 16)

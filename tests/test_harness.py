@@ -4,9 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from khgraph import cli, duality, report, verify
+from khgraph import cli, duality, harness, report, solver, verify
 from khgraph.config import parse_config
-from khgraph.errors import ConfigError, StrictConvexityError
+from khgraph.errors import (
+    ConfigError,
+    ContinuationError,
+    LineSearchStallError,
+    StrictConvexityError,
+)
 from khgraph.registry import INSTANCES, get_instance
 
 
@@ -148,6 +153,29 @@ class TestCli:
         path.write_text(json.dumps(dict(MINIMAL, k=3)))
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid": [4, 8]},
+            {"dimension": 3},
+            {"omega": {"kind": "ball", "radius": "a"}},
+            {"continuation": ["x"]},
+            {"omega": {"kind": "ball", "radius": 0.5, "center": [0.1]}},
+            {"k": True},
+            {"tolerances": {"newton_tol": "1e-10"}},
+        ],
+        ids=["small-grid", "dimension-3", "string-radius", "string-eps",
+             "short-center", "bool-k", "string-tolerance"],
+    )
+    def test_malformed_config_exit_two_without_traceback(self, tmp_path, capsys, change):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "grid": [12, 24], **change}))
+        code = cli.main(["solve", "--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_unreachable_tolerance_exit_three(self, tmp_path):
         cfg = dict(
             MINIMAL,
@@ -161,6 +189,34 @@ class TestCli:
         assert code == 3
         # partial report serialized for post-mortem
         assert os.path.exists(tmp_path / "report.json")
+
+    def test_failure_report_keeps_completed_levels(self, tmp_path, monkeypatch):
+        real = solver.newton_solve
+        done = []
+
+        def fail_third(*args, **kwargs):
+            if len(done) == 2:
+                raise LineSearchStallError("stalled on purpose", history=[1.0])
+            result = real(*args, **kwargs)
+            done.append(result)
+            return result
+
+        monkeypatch.setattr(solver, "newton_solve", fail_third)
+        cfg = parse_config(
+            json.dumps(dict(MINIMAL, grid=[12, 24], continuation=[0.4, 0.2, 0.1]))
+        )
+        with pytest.raises(ContinuationError) as err:
+            harness.run_solve(cfg, str(tmp_path))
+        assert len(err.value.completed_levels) == 2
+        rep = report.SolveReport.from_json((tmp_path / "report.json").read_text())
+        assert not rep.convergence_flag
+        assert [row[:2] for row in rep.residual_history] == [
+            [0.4, done[0][1]],
+            [0.2, done[1][1]],
+        ]
+        assert all(row[1] > 0 for row in rep.residual_history)
+        for row, (_, _, hist) in zip(rep.residual_history, done):
+            assert np.isfinite(row[2]) and row[2] == hist[-1]
 
     def test_field_dump(self, tmp_path):
         out = tmp_path / "field.csv"
