@@ -31,19 +31,25 @@ EXIT_NOCONV = 3
 EXIT_INVARIANT = 4
 
 
+_BODY_VALUES = {"ball": (1, 3), "ellipse": (2, 3), "superellipse": (2, 3)}
+
+
 def _parse_body(spec: str) -> bodies.ConvexBody:
-    """Body mini-format: 'ball:r[,cx,cy]' | 'ellipse:a,b[,angle]' | 'superellipse:a,b,q'."""
+    """Body mini-format: 'ball:r[,cx,cy]' | 'ellipse:a,b[,angle]' | 'superellipse:a,b[,q]'."""
     kind, _, rest = spec.partition(":")
+    if kind not in _BODY_VALUES:
+        raise ConfigError("body", f"unknown body kind {kind!r}")
     vals = [float(v) for v in rest.split(",")] if rest else []
+    if len(vals) not in _BODY_VALUES[kind]:
+        counts = " or ".join(str(n) for n in _BODY_VALUES[kind])
+        raise ConfigError("body", f"{kind} takes {counts} numbers, got {len(vals)}")
+    if not np.isfinite(vals).all():
+        raise ConfigError("body", f"non-finite number in {rest!r}")
     if kind == "ball":
-        center = vals[1:3] if len(vals) >= 3 else None
-        return bodies.ball(vals[0], center)
+        return bodies.ball(vals[0], vals[1:] or None)
     if kind == "ellipse":
-        angle = vals[2] if len(vals) >= 3 else 0.0
-        return bodies.ellipse(vals[:2], angle=angle)
-    if kind == "superellipse":
-        return bodies.superellipse(vals[:2], vals[2] if len(vals) >= 3 else 4.0)
-    raise ConfigError("body", f"unknown body kind {kind!r}")
+        return bodies.ellipse(vals[:2], angle=vals[2] if len(vals) == 3 else 0.0)
+    return bodies.superellipse(vals[:2], vals[2] if len(vals) == 3 else 4.0)
 
 
 def _vec(text: str) -> np.ndarray:
@@ -86,6 +92,8 @@ def cmd_verify(args) -> int:
 
 def cmd_field(args) -> int:
     try:
+        if args.t_samples < 1:
+            raise ConfigError("t-samples", f"must be at least 1, got {args.t_samples}")
         body = _parse_body(args.body)
         y0 = _vec(args.y0)
         xi = _vec(args.xi)
@@ -104,7 +112,6 @@ def cmd_field(args) -> int:
     lines.append(f"# t_max: {fld.t_max:.17g}")
     lines.append("t,y1,y2,T1,T2")
     ts = np.linspace(0.0, fld.t_max, args.t_samples)
-    y = y0.copy()
     for t in ts:
         yt = rotations.flow(fld, t, y0)
         tv = rotations.field_eval(fld, yt)

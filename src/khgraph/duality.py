@@ -40,10 +40,10 @@ def project(x: np.ndarray) -> np.ndarray:
 
 
 def unproject(y: np.ndarray) -> np.ndarray:
-    """Inverse projection, x = (-y, 1)/sqrt(1 + |y|^2)."""
-    y = np.asarray(y, dtype=float).ravel()
-    w = np.sqrt(1.0 + y @ y)
-    return np.concatenate([-y, [1.0]]) / w
+    """Inverse projection x = (-y, 1)/sqrt(1 + |y|^2), y (..., n) to x (..., n+1)."""
+    y = np.asarray(y, dtype=float)
+    x = np.concatenate([-y, np.ones(y.shape[:-1] + (1,))], axis=-1)
+    return x / wstar(y)[..., None]
 
 
 def wstar(y) -> np.ndarray:

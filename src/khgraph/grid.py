@@ -11,7 +11,9 @@ the center, one-sided over 8 rings at the boundary) and at least 5
 consecutive rays; near the center the patch takes as many rays as it needs
 to span about one ring gap across the rays, up to whole rings (see
 _logical_patch).  That makes first and second derivatives exact on cubics
-and second-order accurate on smooth functions on every ring.
+and second-order accurate on smooth functions on every ring.  All windows
+of a ring have one shape, so the stencils are built one ring at a time,
+each ring's fits in one batched jet_weight_rows call.
 """
 
 from __future__ import annotations
@@ -174,8 +176,12 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
     )
 
 
-def _logical_patch(j: int, i: int, n_r: int, n_theta: int, radii: np.ndarray):
+def _logical_patch(j: int, i, n_r: int, n_theta: int, radii: np.ndarray):
     """Node indices of the stencil window around logical position (ring j, ray i).
+
+    A ray index i gives one window (m,); an array of rays of ring j gives
+    rows (..., m), since every window of a ring has the same shape.  Points
+    run ring by ring outward and by ascending ray within a ring.
 
     Rings j-2..j+2, clipped at the center; one-sided windows at the boundary
     widen to 8 rings so the second-difference weight norms stay small
@@ -199,46 +205,38 @@ def _logical_patch(j: int, i: int, n_r: int, n_theta: int, radii: np.ndarray):
     gap = radii[j - 1] - (radii[j - 2] if j > 1 else 0.0)
     arc = 2.0 * np.pi * radii[j - 1] / n_theta
     k = max(STENCIL_RAYS // 2, int(np.ceil(gap / arc)))
+    i = np.asarray(i)
     if 2 * k + 1 >= n_theta:
-        rays = np.arange(n_theta)
+        rays = np.broadcast_to(np.arange(n_theta), i.shape + (n_theta,))
     else:
-        rays = (i + np.arange(-k, k + 1)) % n_theta
+        # ascending ray order within each ring keeps the fit's summation
+        # order, and with it the weights to the last bit
+        rays = np.sort((i[..., None] + np.arange(-k, k + 1)) % n_theta, axis=-1)
     ring_starts = (np.arange(j_lo, j_hi + 1) - 1) * n_theta
-    return np.unique(ring_starts[:, None] + rays[None, :])
+    return (ring_starts[:, None] + rays[..., None, :]).reshape(i.shape + (-1,))
 
 
 def _build_stencils(
     nodes: np.ndarray, n_r: int, n_theta: int, radii: np.ndarray
 ) -> dict:
+    """The five derivative operators, fitted one ring at a time in one batched call."""
     n_nodes = n_r * n_theta
-    names = ["dx", "dy", "dxx", "dxy", "dyy"]
-    rows = {k: [] for k in names}
-    cols = {k: [] for k in names}
-    vals = {k: [] for k in names}
+    rays = np.arange(n_theta)
+    rows, cols, vals = [], [], []
     for j in range(1, n_r + 1):
-        for i in range(n_theta):
-            idx = (j - 1) * n_theta + i
-            patch = _logical_patch(j, i, n_r, n_theta, radii)
-            _, w_grad, w_hess = jet_weight_rows(
-                nodes[patch], nodes[idx], STENCIL_DEGREE
-            )
-            rows_w = {
-                "dx": w_grad[0],
-                "dy": w_grad[1],
-                "dxx": w_hess[0, 0],
-                "dxy": w_hess[0, 1],
-                "dyy": w_hess[1, 1],
-            }
-            for k in names:
-                rows[k].extend([idx] * patch.size)
-                cols[k].extend(patch.tolist())
-                vals[k].extend(rows_w[k].tolist())
-    ops = {}
-    for k in names:
-        ops[k] = StencilOp(
-            sp.csr_matrix((vals[k], (rows[k], cols[k])), shape=(n_nodes, n_nodes))
-        )
-    return ops
+        idx = (j - 1) * n_theta + rays
+        patch = _logical_patch(j, rays, n_r, n_theta, radii)  # (n_theta, m)
+        _, w_grad, w_hess = jet_weight_rows(nodes[patch], nodes[idx], STENCIL_DEGREE)
+        rows.append(np.repeat(idx, patch.shape[1]))
+        cols.append(patch.ravel())
+        vals.append(np.stack([w_grad[:, 0], w_grad[:, 1], w_hess[:, 0, 0],
+                              w_hess[:, 0, 1], w_hess[:, 1, 1]]).reshape(5, -1))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate(vals, axis=1)
+    return {
+        k: StencilOp(sp.csr_matrix((v, (rows, cols)), shape=(n_nodes, n_nodes)))
+        for k, v in zip(["dx", "dy", "dxx", "dxy", "dyy"], vals)
+    }
 
 
 def _validate_stencils(nodes: np.ndarray, ops: dict) -> None:

@@ -12,6 +12,12 @@ the fit runs in a whitened local frame: principal axes of the patch
 scatter, each scaled to unit spread.  The derivative
 functionals are transformed back to the original coordinates, keeping
 exactness.
+
+The fit broadcasts over leading axes: jet_weight_rows takes a batch of
+equal-sized patches (..., m, dim) with centers (..., dim) and gives each
+patch the same extended-precision operations it would get alone, so a
+batch reproduces the one-patch weights bit for bit.  A single patch is the
+0-d case of the same code.
 """
 
 from __future__ import annotations
@@ -59,41 +65,34 @@ def jet_functionals(exps: np.ndarray, dim: int):
 
 
 def _design_matrix(xi: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    cols = []
-    for e in exps:
-        col = np.ones(xi.shape[0])
-        for j, p in enumerate(e):
-            if p:
-                col = col * xi[:, j] ** p
-        cols.append(col)
-    return np.stack(cols, axis=1)
+    """Monomials xi^alpha of points (..., m, dim) as columns: (..., m, n_basis)."""
+    powers = xi[..., None] ** np.arange(exps.max() + 1)  # each xi_j^p once
+    return np.prod(powers[..., np.arange(exps.shape[1]), exps], axis=-1)
 
 
 def _solve_longdouble(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting in extended precision.
 
-    The stencil back-transform multiplies solve-level rounding by 1/h^2, so
-    float64 least squares leaves ~1e-11 exactness defects on fine grids;
-    80-bit arithmetic on the tiny normal system removes them.
+    Solves each system of a batch, g (..., n, n) against rhs (..., n, m),
+    with the operations it would get alone: the loops run over the n columns
+    and rows, never over the systems.  The stencil back-transform multiplies
+    solve-level rounding by 1/h^2, so float64 least squares leaves ~1e-11
+    exactness defects on fine grids; 80-bit arithmetic on the tiny normal
+    system removes them.
     """
-    g = g.astype(np.longdouble).copy()
-    rhs = rhs.astype(np.longdouble).copy()
-    n = g.shape[0]
+    n, m = rhs.shape[-2:]
+    ab = np.concatenate([g, rhs], axis=-1).astype(np.longdouble).reshape(-1, n, n + m)
+    s = np.arange(ab.shape[0])
     for c in range(n):
-        p = int(np.argmax(np.abs(g[c:, c]))) + c
-        if p != c:
-            g[[c, p]] = g[[p, c]]
-            rhs[[c, p]] = rhs[[p, c]]
-        piv = g[c, c]
-        for r in range(c + 1, n):
-            f = g[r, c] / piv
-            if f != 0.0:
-                g[r, c:] -= f * g[c, c:]
-                rhs[r] -= f * rhs[c]
-    out = np.zeros_like(rhs)
+        p = np.argmax(np.abs(ab[:, c:, c]), axis=1) + c
+        ab[s, c], ab[s, p] = ab[s, p], ab[s, c]
+        f = ab[:, c + 1 :, c, None] / ab[:, c, c, None, None]
+        ab[:, c + 1 :, c:] -= f * ab[:, c, None, c:]
+    out = np.zeros((ab.shape[0], n, m), dtype=np.longdouble)
     for r in range(n - 1, -1, -1):
-        out[r] = (rhs[r] - g[r, r + 1 :] @ out[r + 1 :]) / g[r, r]
-    return out
+        dot = (ab[:, r, None, r + 1 : n] @ out[:, r + 1 :])[:, 0]
+        out[:, r] = (ab[:, r, n:] - dot) / ab[:, r, r, None]
+    return out.reshape(rhs.shape)
 
 
 def jet_weight_rows(points: np.ndarray, center: np.ndarray, degree: int):
@@ -101,49 +100,47 @@ def jet_weight_rows(points: np.ndarray, center: np.ndarray, degree: int):
 
     value = w_val @ f, gradient[a] = w_grad[a] @ f, hessian[a,b] =
     w_hess[a,b] @ f, exact whenever f is a polynomial of total degree <=
-    degree on a poised patch.
+    degree on a poised patch.  Broadcasts over leading axes: points
+    (..., m, dim) and centers (..., dim) give w_val (..., m), w_grad
+    (..., dim, m) and w_hess (..., dim, dim, m), each patch fitted with
+    the operations it would get alone; one patch is the 0-d case.
     """
     points = np.asarray(points, dtype=float)
-    center = np.asarray(center, dtype=float).ravel()
-    dim = center.size
-    delta = (points - center[None, :]).astype(np.longdouble)
+    center = np.asarray(center, dtype=float)
+    dim = points.shape[-1]
+    delta = (points - center[..., None, :]).astype(np.longdouble)
     # whitened local frame fixes the conditioning of anisotropic patches;
     # the frame itself need not be exact, only applied consistently, so the
     # eigen-decomposition runs in float64 and everything downstream in
     # extended precision (final weights round once, at the end)
-    cov64 = np.asarray(delta.T @ delta / delta.shape[0], dtype=float)
-    evals, rot64 = np.linalg.eigh(cov64)
-    floor = max(float(evals.max()), 1e-300) * 1e-10
-    scales = np.sqrt(np.maximum(evals, floor).astype(np.longdouble))
+    cov = np.swapaxes(delta, -1, -2) @ delta / delta.shape[-2]
+    evals, rot64 = np.linalg.eigh(cov.astype(float))
+    floor = np.maximum(evals.max(axis=-1, keepdims=True), 1e-300) * 1e-10
+    scales = np.sqrt(np.maximum(evals, floor).astype(np.longdouble))[..., None, :]
     rot = rot64.astype(np.longdouble)
-    xi = (delta @ rot) / scales[None, :]
+    xi = (delta @ rot) / scales
 
     exps = monomial_exponents(dim, degree)
     a = _design_matrix(xi, exps)
-    dist2 = (xi * xi).sum(axis=1)
+    dist2 = (xi * xi).sum(axis=-1)
     # least-squares weights wts^2 decay like |xi|^-4; a steeper |xi|^-8 gives
     # the outer rays of 5-ray grid windows so little weight that rounding in
     # the assembled Jacobian triples (its commutator with a ray rotation
     # on a 16x32 disk: 1.1e-10 against 3.6e-11)
     wts = 1.0 / (1.0 + dist2)
-    aw2 = (a * wts[:, None] ** 2).T
-    gram = aw2 @ a
-    coef = _solve_longdouble(gram, aw2)
+    aw2 = np.swapaxes(a * wts[..., None] ** 2, -1, -2)
+    coef = _solve_longdouble(aw2 @ a, aw2)
 
     iv, ig, ih = jet_functionals(exps, dim)
-    w_val = coef[iv].astype(float)
-    grad_xi = coef[ig]  # (dim, m)
-    hess_xi = np.empty((dim, dim, points.shape[0]), dtype=np.longdouble)
-    for i in range(dim):
-        for j in range(dim):
-            c = coef[ih[i, j]]
-            hess_xi[i, j] = 2.0 * c if i == j else c
-    hess_xi = 0.5 * (hess_xi + hess_xi.transpose(1, 0, 2))
+    # the coefficient of xi_i^2 is half the second derivative
+    hess_xi = coef[..., ih, :] * (1 + np.eye(dim, dtype=int))[:, :, None]
+    hess_xi = 0.5 * (hess_xi + np.swapaxes(hess_xi, -2, -3))
 
     # back to original coordinates: d/d_delta = R S^{-1} d/d_xi
-    rs = rot / scales[None, :]  # columns are R[:,i]/s_i
-    w_grad = (rs @ grad_xi).astype(float)
-    w_hess = np.einsum("ai,ijm,bj->abm", rs, hess_xi, rs).astype(float)
+    rs = rot / scales  # columns are R[:,i]/s_i
+    w_val = coef[..., iv, :].astype(float)
+    w_grad = (rs @ coef[..., ig, :]).astype(float)
+    w_hess = np.einsum("...ai,...ijm,...bj->...abm", rs, hess_xi, rs).astype(float)
     return w_val, w_grad, w_hess
 
 

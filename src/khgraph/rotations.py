@@ -108,14 +108,15 @@ def make_field(y0, xi, body, t_cap: float = 0.5) -> RotationField:
         return RotationField(y0=y0, xi=xi, x0=x0, frame=frame, speed=0.0,
                              t_max=t_cap)
 
+    # written as "not <=" so that a NaN anchor or tangent fails them too
     level = abs(float(body.h(y0)))
-    if level > 1e-10:
+    if not level <= 1e-10:
         raise PreconditionError("anchor off the boundary", level, 1e-10)
-    if abs(xi_norm - 1.0) > 1e-10:
+    if not abs(xi_norm - 1.0) <= 1e-10:
         raise PreconditionError("tangent not unit", abs(xi_norm - 1.0), 1e-10)
     dh = np.asarray(body.grad_h(y0), dtype=float)
     tang_defect = abs(float(dh @ xi)) / max(np.linalg.norm(dh), 1e-300)
-    if tang_defect > 1e-10:
+    if not tang_defect <= 1e-10:
         raise PreconditionError("xi not tangent to the boundary", tang_defect, 1e-10)
 
     # dP^{-1}(xi) at y0; orthogonal to x0 by construction.
@@ -142,14 +143,10 @@ def _fit_t_max(field: RotationField, body, t_cap: float) -> float:
     """Largest t <= t_cap keeping the rotated hemisphere height >= 0.1 on probes."""
     probes = np.atleast_2d(body.sample_boundary(64))
     probes = np.vstack([probes, np.asarray(body.interior_point, dtype=float)])
+    xs = unproject(probes)
 
     def min_height(t):
-        heights = []
-        for y in probes:
-            x = unproject(y)
-            xt = _rotate(field, t, x)
-            heights.append(xt[-1])
-        return min(heights)
+        return _rotate(field, t, xs)[:, -1].min()
 
     if min_height(t_cap) >= 0.1:
         return t_cap
@@ -164,10 +161,10 @@ def _fit_t_max(field: RotationField, body, t_cap: float) -> float:
 
 
 def _rotate(field: RotationField, t: float, x: np.ndarray) -> np.ndarray:
-    """Apply the rotation family to an ambient point."""
+    """Apply the rotation family to ambient points x (..., n+1)."""
     phi = field.speed * t
-    a0 = x @ field.x0
-    a1 = x @ field.e1
+    a0 = (x @ field.x0)[..., None]
+    a1 = (x @ field.e1)[..., None]
     rest = x - a0 * field.x0 - a1 * field.e1
     c, s = np.cos(phi), np.sin(phi)
     return (a0 * c - a1 * s) * field.x0 + (a0 * s + a1 * c) * field.e1 + rest
@@ -192,10 +189,10 @@ def _coeffs(field: RotationField):
 
 
 def field_eval(field: RotationField, y: np.ndarray) -> np.ndarray:
-    """T(y), the generator of the flow, from its degree-2 closed form."""
-    y = np.asarray(y, dtype=float).ravel()
+    """T(y) for y (..., n), the generator of the flow, from its degree-2 closed form."""
+    y = np.asarray(y, dtype=float)
     c, b = _coeffs(field)
-    return c + b @ y + (c @ y) * y
+    return c + y @ b.T + (y @ c)[..., None] * y
 
 
 def field_polynomial(field: RotationField):

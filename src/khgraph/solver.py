@@ -487,7 +487,7 @@ def differentiated_equation_defect(
     y = grid.nodes
     w = np.sqrt(1.0 + (y * y).sum(axis=1))
     du = grid.gradient(u)
-    t_vec = np.stack([rotations.field_eval(fld, yq) for yq in y])
+    t_vec = rotations.field_eval(fld, y)
     dv = du / w[:, None] - (u / w**3)[:, None] * y
     phi = w * (t_vec * dv).sum(axis=1)
     hphi = grid.hessians(phi)[node]

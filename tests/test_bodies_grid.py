@@ -3,7 +3,8 @@ import pytest
 
 from khgraph import bodies
 from khgraph.errors import GridConstructionError
-from khgraph.grid import build_grid
+from khgraph.grid import _logical_patch, build_grid
+from khgraph.meshfree import jet_weight_rows
 
 
 BODIES = {
@@ -249,3 +250,54 @@ class TestGrid:
             assert abs(nu @ nu - 1) < 1e-12
             assert abs(nu @ tau) < 1e-12
             assert body.h(g.nodes[idx] + 1e-6 * nu) > 0  # points inward
+
+
+class TestBatchedStencils:
+    def test_jet_weight_rows_batch_matches_single_patches(self):
+        g = build_grid(bodies.ellipse((0.45, 0.3), angle=0.7), 16, 32)
+        rings = [4, 8, 12]  # bulk rings: 5-ring, 5-ray windows of 25 points
+        rays = np.array([[0, 7, 13, 30], [3, 9, 21, 31], [1, 2, 16, 25]])
+        patch = np.stack([_logical_patch(j, r, g.n_r, g.n_theta, g.radii)
+                          for j, r in zip(rings, rays)])
+        idx = (np.array(rings)[:, None] - 1) * g.n_theta + rays
+        points, centers = g.nodes[patch], g.nodes[idx]
+        assert points.shape == (3, 4, 25, 2) and centers.shape == (3, 4, 2)
+        w_val, w_grad, w_hess = jet_weight_rows(points, centers, 3)
+        assert w_val.shape == (3, 4, 25)
+        assert w_grad.shape == (3, 4, 2, 25)
+        assert w_hess.shape == (3, 4, 2, 2, 25)
+
+        def cubic(p):
+            x, y = p[..., 0], p[..., 1]
+            return 1 + x - 2 * y + x * x + 3 * x * y + x**3 - 2 * x * x * y + 0.5 * y**3
+
+        for a in range(3):
+            for b in range(4):
+                single = jet_weight_rows(points[a, b], centers[a, b], 3)
+                for batch_w, one_w in zip((w_val, w_grad, w_hess), single):
+                    scale = np.abs(one_w).sum(axis=-1, keepdims=True)
+                    assert (np.abs(batch_w[a, b] - one_w) <= 1e-15 * scale).all()
+                f = cubic(points[a, b])
+                x, y = centers[a, b]
+                assert abs(w_val[a, b] @ f - cubic(centers[a, b])) <= 1e-10
+                np.testing.assert_allclose(
+                    w_grad[a, b] @ f,
+                    [1 + 2 * x + 3 * y + 3 * x * x - 4 * x * y,
+                     -2 + 3 * x - 2 * x * x + 1.5 * y * y],
+                    rtol=0, atol=1e-10,
+                )
+                np.testing.assert_allclose(
+                    w_hess[a, b] @ f,
+                    [[2 + 6 * x - 4 * y, 3 - 4 * x], [3 - 4 * x, 3 * y]],
+                    rtol=0, atol=1e-10,
+                )
+
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 128)])
+    def test_logical_patch_rows_match_scalar_calls(self, n_r, n_theta):
+        s = np.arange(1, n_r + 1) / n_r
+        radii = s * (1.0 + 0.35 * (1.0 - s))  # the ring radii of build_grid
+        rays = np.arange(n_theta)
+        for j in (1, 2, n_r // 2, n_r - 1, n_r):
+            rows = _logical_patch(j, rays, n_r, n_theta, radii)
+            single = np.stack([_logical_patch(j, i, n_r, n_theta, radii) for i in rays])
+            np.testing.assert_array_equal(rows, single)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +238,30 @@ class TestCli:
         rows = [ln for ln in lines if not ln.startswith("#")][1:]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize(
+        "body, y0, t_samples",
+        [
+            ("ball:", "0.5,0", "5"),
+            ("ball:nan", "0.5,0", "5"),
+            ("ball:0.5,0.1", "0.5,0", "5"),
+            ("ball:0.5", "nan,0", "5"),
+            ("ball:0.5", "0.5,0", "-1"),
+        ],
+        ids=["no-radius", "nan-radius", "dropped-center", "nan-anchor",
+             "negative-samples"],
+    )
+    def test_malformed_field_exit_two_without_traceback(
+        self, tmp_path, capsys, body, y0, t_samples
+    ):
+        out = tmp_path / "field.csv"
+        code = cli.main(["field", "--y0", y0, "--xi", "0,1", "--body", body,
+                         "--out", str(out), "--t-samples", t_samples])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_verify_exit_codes(self, capsys):
         assert cli.main(["verify", "--suite", "identities", "--seed", "1"]) == 0
         capsys.readouterr()
@@ -264,3 +289,19 @@ class TestVerify:
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             verify.run_verify("nonsense")
+
+
+def test_benchmark_trace_targets_resolve():
+    # the traced benchmark wraps named functions where their callers look
+    # them up; a renamed or no longer imported one breaks only that run
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    inst = tracing.Instrumentation(tracing.Tracer())
+    try:
+        inst.install()
+    finally:
+        inst.uninstall()
+    assert not hasattr(harness.run_solve, "__wrapped__")

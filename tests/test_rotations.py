@@ -145,6 +145,15 @@ class TestFlow:
 
 
 class TestFieldEval:
+    @pytest.mark.parametrize("shape", [(7, 2), (3, 4, 2)])
+    def test_batch_matches_pointwise(self, shape):
+        fld, _ = ellipse_field()
+        ys = np.random.default_rng(11).normal(size=shape) * 0.5
+        batch = rotations.field_eval(fld, ys)
+        assert batch.shape == shape
+        loop = np.array([rotations.field_eval(fld, y) for y in ys.reshape(-1, 2)])
+        np.testing.assert_allclose(batch.reshape(-1, 2), loop, rtol=0, atol=1e-15)
+
     def test_flow_finite_difference_oracle(self):
         fld, _ = ellipse_field()
         rng = np.random.default_rng(6)
