@@ -97,6 +97,9 @@ def cmd_field(args) -> int:
         body = _parse_body(args.body)
         y0 = _vec(args.y0)
         xi = _vec(args.xi)
+        for key, v in (("y0", y0), ("xi", xi)):
+            if v.size != body.dim:
+                raise ConfigError(key, f"needs {body.dim} numbers, got {v.size}")
         fld = rotations.make_field(y0, xi, body)
     except (ConfigError, KHGraphError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

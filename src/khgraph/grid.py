@@ -34,8 +34,11 @@ STENCIL_RINGS_ONESIDED = 8  # wider window tames one-sided weight norms
 STENCIL_DEGREE = 3
 
 
-class StencilOp:
-    """Sparse derivative operator applied in centered form.
+OPS = ("dx", "dy", "dxx", "dxy", "dyy")
+
+
+class Stencils:
+    """The OPS operators on one CSR pattern, (5, nnz) weights, applied in centered form.
 
     Derivative weights annihilate constants, so the raw dot product
     sum_j w_ij u_j cancels O(|u|) down to O(h^k |D u|); doing the
@@ -45,28 +48,41 @@ class StencilOp:
     stay exact on quadratics to 1e-11 in float64.
     """
 
-    def __init__(self, matrix: sp.csr_matrix):
-        self.matrix = matrix
-        n = matrix.shape[0]
-        self.entry_rows = np.repeat(
-            np.arange(n), np.diff(matrix.indptr)
-        )
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
+        self.indptr, self.indices, self.weights = indptr, indices, weights
+        n = indptr.size - 1
+        self.rows = np.repeat(np.arange(n), np.diff(indptr))
         # row sums are the (tiny) defect of the stored weights on constants;
         # accumulate them in extended precision so they do not re-introduce
         # the cancellation the centered application avoids
-        sums = np.zeros(n, dtype=np.longdouble)
-        np.add.at(sums, self.entry_rows, matrix.data.astype(np.longdouble))
+        sums = np.zeros((len(weights), n), dtype=np.longdouble)
+        np.add.at(sums, (slice(None), self.rows), weights.astype(np.longdouble))
         self.rowsums = sums.astype(float)
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, u: np.ndarray, which=slice(None)) -> np.ndarray:
+        """The operators OPS[which] applied to u, one row each."""
         u = np.asarray(u, dtype=float)
-        m = self.matrix
-        contrib = m.data * (u[m.indices] - u[self.entry_rows])
-        out = np.bincount(self.entry_rows, weights=contrib, minlength=m.shape[0])
-        return out + self.rowsums * u
+        diff = u[self.indices] - u[self.rows]
+        return np.stack([
+            np.bincount(self.rows, weights=w * diff, minlength=u.size) + s * u
+            for w, s in zip(self.weights[which], self.rowsums[which])
+        ])
+
+
+@dataclass
+class StencilOp:
+    """One operator of a Stencils: ``op @ u`` applies it, ``op.matrix`` is its CSR."""
+
+    stencils: Stencils
+    which: int
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        s, n = self.stencils, self.stencils.indptr.size - 1
+        return sp.csr_matrix((s.weights[self.which], s.indices, s.indptr), shape=(n, n))
 
     def __matmul__(self, u):
-        return self.apply(u)
+        return self.stencils.apply(u, [self.which])[0]
 
 
 @dataclass
@@ -80,7 +96,8 @@ class Grid:
     is_boundary: np.ndarray  # (N,)
     interior_idx: np.ndarray
     boundary_idx: np.ndarray
-    ops: dict  # 'dx','dy','dxx','dxy','dyy' -> CSR (N, N)
+    stencils: Stencils  # dx, dy, dxx, dxy, dyy on one shared pattern
+    ops: dict  # 'dx','dy','dxx','dxy','dyy' -> StencilOp, one row of stencils each
     quad_weights: np.ndarray  # integrates over the domain
     spacing: float  # max boundary-vicinity node distance, the 'h' of the grid
     boundary_normals: np.ndarray  # interior unit normals at boundary nodes
@@ -107,17 +124,11 @@ class Grid:
         return GridJetInterpolant(self, values)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        return np.stack([self.ops["dx"] @ u, self.ops["dy"] @ u], axis=1)
+        return self.stencils.apply(u, slice(0, 2)).T
 
     def hessians(self, u: np.ndarray) -> np.ndarray:
-        hxx = self.ops["dxx"] @ u
-        hxy = self.ops["dxy"] @ u
-        hyy = self.ops["dyy"] @ u
-        out = np.empty((u.size, 2, 2))
-        out[:, 0, 0] = hxx
-        out[:, 0, 1] = out[:, 1, 0] = hxy
-        out[:, 1, 1] = hyy
-        return out
+        h = self.stencils.apply(u, slice(2, 5))  # dxx, dxy, dyy
+        return h[[0, 1, 1, 2]].T.reshape(-1, 2, 2)
 
 
 def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
@@ -142,7 +153,8 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
     is_boundary = np.zeros(n_nodes, dtype=bool)
     is_boundary[bidx] = True
 
-    ops = _build_stencils(nodes, n_r, n_theta, radii)
+    stencils = _build_stencils(nodes, n_r, n_theta, radii)
+    ops = {name: StencilOp(stencils, i) for i, name in enumerate(OPS)}
     _validate_stencils(nodes, ops)
 
     quad = _quad_weights(body, radii, thetas)
@@ -168,6 +180,7 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
         is_boundary=is_boundary,
         interior_idx=np.where(~is_boundary)[0],
         boundary_idx=bidx,
+        stencils=stencils,
         ops=ops,
         quad_weights=quad,
         spacing=spacing,
@@ -218,25 +231,22 @@ def _logical_patch(j: int, i, n_r: int, n_theta: int, radii: np.ndarray):
 
 def _build_stencils(
     nodes: np.ndarray, n_r: int, n_theta: int, radii: np.ndarray
-) -> dict:
+) -> Stencils:
     """The five derivative operators, fitted one ring at a time in one batched call."""
-    n_nodes = n_r * n_theta
     rays = np.arange(n_theta)
-    rows, cols, vals = [], [], []
+    widths, cols, vals = [], [], []
     for j in range(1, n_r + 1):
         idx = (j - 1) * n_theta + rays
         patch = _logical_patch(j, rays, n_r, n_theta, radii)  # (n_theta, m)
         _, w_grad, w_hess = jet_weight_rows(nodes[patch], nodes[idx], STENCIL_DEGREE)
-        rows.append(np.repeat(idx, patch.shape[1]))
+        widths.append(np.full(n_theta, patch.shape[1]))
         cols.append(patch.ravel())
         vals.append(np.stack([w_grad[:, 0], w_grad[:, 1], w_hess[:, 0, 0],
                               w_hess[:, 0, 1], w_hess[:, 1, 1]]).reshape(5, -1))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    vals = np.concatenate(vals, axis=1)
-    return {
-        k: StencilOp(sp.csr_matrix((v, (rows, cols)), shape=(n_nodes, n_nodes)))
-        for k, v in zip(["dx", "dy", "dxx", "dxy", "dyy"], vals)
-    }
+    # windows list their nodes in ascending order and rows come in order,
+    # so the concatenated windows are the CSR indices as they stand
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(widths))])
+    return Stencils(indptr, np.concatenate(cols), np.concatenate(vals, axis=1))
 
 
 def _validate_stencils(nodes: np.ndarray, ops: dict) -> None:

@@ -12,6 +12,8 @@ SPD exactly on convex states, the boundary condition is classically oblique
 increasing in u*, which keeps the Newton linearization uniformly invertible
 for eps > 0.  At eps = 0 the solution is unique only up to a constant, so the
 continuation stops at a positive eps and extrapolates.
+The grid is planar, so F* is det/tr (k = 1) or sqrt(det) (k = 2) of its
+argument, evaluated in closed form; symfun.eval_operator is its oracle.
 
 The constant reported by the continuation is the one of the un-powered
 equation sigma_k(kappa) = c psi0^k: the recovered primal mean satisfies
@@ -64,29 +66,26 @@ class SolverState:
 
 
 def dual_operator_batch(mats: np.ndarray, k: int):
-    """(F*, dF*/dA) of the quotient operator on a batch of SPD matrices.
+    """(F*, dF*/dA) of the dual operator (sigma_2/sigma_{2-k})^(1/k) on 2x2 matrices.
 
-    Spectral chain rule through numpy's batched symmetric eigensolver; the
-    per-matrix reference path lives in symfun.eval_operator and the test
-    suite pins the two against each other.
+    det/tr with gradient cof(A)/tr - det I/tr^2 for k = 1, sqrt(det) with
+    gradient cof(A)/(2 sqrt(det)) for k = 2; a symmetric 2x2 matrix is SPD
+    exactly when tr > 0 and det > 0.  The tests pin this closed form against
+    symfun.eval_operator, the independent n-dimensional oracle.
     """
-    lam, vec = np.linalg.eigh(mats)
-    if np.any(lam[:, 0] <= 0.0):
-        bad = np.where(lam[:, 0] <= 0.0)[0]
-        raise ConeViolationError(lam[bad[0]], nodes=bad)
-    m, n = lam.shape
-    e = symfun.sigma_all(lam)
-    sn = e[:, n]
-    snk = e[:, n - k]
-    value = (sn / snk) ** (1.0 / k)
-    # per-eigenvalue partials via drop-one elementary symmetric functions
-    phi = np.empty((m, n))
-    for p in range(n):
-        drop = symfun.sigma_all(np.delete(lam, p, axis=1))
-        dsn = drop[:, n - 1]
-        dsnk = drop[:, n - k - 1] if n - k >= 1 else np.zeros(m)
-        phi[:, p] = (value / k) * (dsn / sn - dsnk / snk)
-    grad = np.einsum("mip,mp,mjp->mij", vec, phi, vec)
+    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+    tr = a + c
+    det = a * c - b * b
+    bad = np.flatnonzero(~((tr > 0.0) & (det > 0.0)))
+    if bad.size:
+        raise ConeViolationError(np.linalg.eigvalsh(mats[bad[0]]), nodes=bad)
+    cof = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2)
+    if k == 1:
+        value = det / tr
+        grad = (cof - value[:, None, None] * np.eye(2)) / tr[:, None, None]
+    else:
+        value = np.sqrt(det)
+        grad = cof / (2.0 * value)[:, None, None]
     return value, grad
 
 
@@ -117,18 +116,15 @@ class DualProblem:
     def dual_psi(self, eps: float) -> duality.DualPsi:
         return duality.DualPsi(exponential_psi(eps, self.psi_base))
 
-    def hessians(self, u: np.ndarray) -> np.ndarray:
-        return self.grid.hessians(u)
-
     def spd_margin(self, u: np.ndarray) -> float:
         """Smallest eigenvalue of the node Hessian estimates."""
-        h = self.hessians(u)
+        h = self.grid.hessians(u)
         tr = h[:, 0, 0] + h[:, 1, 1]
         disc = np.sqrt((h[:, 0, 0] - h[:, 1, 1]) ** 2 + 4.0 * h[:, 0, 1] ** 2)
         return float((0.5 * (tr - disc)).min())
 
     def argument_matrices(self, u: np.ndarray) -> np.ndarray:
-        h = self.hessians(u)
+        h = self.grid.hessians(u)
         bhb = np.einsum("mij,mjk,mkl->mil", self.bstar, h, self.bstar)
         a = self.wstar[:, None, None] * bhb
         return 0.5 * (a + a.transpose(0, 2, 1))
@@ -151,36 +147,26 @@ class DualProblem:
         return res
 
     def jacobian(self, u: np.ndarray, eps: float) -> sp.csr_matrix:
+        grid, st = self.grid, self.grid.stencils
         a = self.argument_matrices(u)
         _, dop = dual_operator_batch(a[self.interior], self.k)
         # chain rule through A = w* b* H b*: dF*/dH_pq = (w* b* F*' b*)_pq
-        coef = np.zeros((self.grid.n_nodes, 2, 2))
-        coef[self.interior] = self.wstar[self.interior, None, None] * np.einsum(
+        dh = self.wstar[self.interior, None, None] * np.einsum(
             "mij,mjk,mkl->mil", self.bstar[self.interior], dop, self.bstar[self.interior]
         )
-        ops = self.grid.ops
-        jac = (
-            sp.diags(coef[:, 0, 0]) @ ops["dxx"].matrix
-            + sp.diags(coef[:, 1, 1]) @ ops["dyy"].matrix
-            + sp.diags(2.0 * coef[:, 0, 1]) @ ops["dxy"].matrix
+        # each row's coefficient of each operator in OPS, summed on the shared
+        # pattern: interior rows take dF*/dH against (dxx, dxy, dyy), boundary
+        # rows beta . (dx, dy) with beta = Dh_omega(Du*)
+        coef = np.zeros((5, grid.n_nodes))
+        coef[2:, self.interior] = dh[:, 0, 0], 2.0 * dh[:, 0, 1], dh[:, 1, 1]
+        _, beta = self.boundary_h(grid.gradient(u)[self.boundary])
+        coef[:2, self.boundary] = beta.T
+        data = sum(c[st.rows] * w for c, w in zip(coef, st.weights))
+        diag = np.flatnonzero(st.indices == st.rows)  # every window holds its node
+        data[diag[self.interior]] -= self.dual_psi(eps).partial_z(
+            grid.nodes[self.interior], u[self.interior]
         )
-        psi_star = self.dual_psi(eps)
-        dz = np.zeros(self.grid.n_nodes)
-        dz[self.interior] = psi_star.partial_z(
-            self.grid.nodes[self.interior], u[self.interior]
-        )
-        jac = jac - sp.diags(dz)
-        # boundary rows: beta . grad(du*) with beta = Dh_omega(Du*)
-        du = self.grid.gradient(u)
-        _, beta = self.boundary_h(du[self.boundary])
-        b1 = np.zeros(self.grid.n_nodes)
-        b2 = np.zeros(self.grid.n_nodes)
-        b1[self.boundary] = beta[:, 0]
-        b2[self.boundary] = beta[:, 1]
-        jac_b = sp.diags(b1) @ ops["dx"].matrix + sp.diags(b2) @ ops["dy"].matrix
-        mask_i = sp.diags(np.where(self.grid.is_boundary, 0.0, 1.0))
-        mask_b = sp.diags(np.where(self.grid.is_boundary, 1.0, 0.0))
-        return (mask_i @ jac + mask_b @ jac_b).tocsr()
+        return sp.csr_matrix((data, st.indices, st.indptr), shape=(grid.n_nodes,) * 2)
 
 
 def initial_guess(grid: Grid, omega: ConvexBody, n_fit: int = 16) -> np.ndarray:
@@ -309,7 +295,7 @@ def primal_mean(problem: DualProblem, u: np.ndarray) -> float:
     grid onto omega with area element det D^2u*(y) dy, and u(x) = x.y - u*.
     """
     du = problem.grid.gradient(u)
-    h = problem.hessians(u)
+    h = problem.grid.hessians(u)
     det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2
     u_primal = (du * problem.grid.nodes).sum(axis=1) - u
     w = problem.grid.quad_weights * det
@@ -433,7 +419,7 @@ def diagnostics(state: SolverState, problem: DualProblem) -> dict:
     grid = state.grid
     u = state.u_star
     du = grid.gradient(u)
-    h = problem.hessians(u)
+    h = grid.hessians(u)
     a = problem.argument_matrices(u)
     lam = np.linalg.eigvalsh(a)
     m_big = float(lam[:, -1].max())

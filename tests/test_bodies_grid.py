@@ -301,3 +301,17 @@ class TestBatchedStencils:
             rows = _logical_patch(j, rays, n_r, n_theta, radii)
             single = np.stack([_logical_patch(j, i, n_r, n_theta, radii) for i in rays])
             np.testing.assert_array_equal(rows, single)
+
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 32), (64, 128)])
+    def test_operators_share_one_pattern(self, n_r, n_theta):
+        g = build_grid(bodies.ball(0.5), n_r, n_theta)
+        for op in g.ops.values():
+            np.testing.assert_array_equal(op.matrix.indptr, g.stencils.indptr)
+            np.testing.assert_array_equal(op.matrix.indices, g.stencils.indices)
+        # the batched application is the single-operator one, bit for bit
+        u = np.random.default_rng(4).normal(size=g.n_nodes)
+        d = {name: op @ u for name, op in g.ops.items()}
+        assert np.array_equal(g.gradient(u), np.stack([d["dx"], d["dy"]], axis=1))
+        hess = np.stack([np.stack([d["dxx"], d["dxy"]], axis=1),
+                         np.stack([d["dxy"], d["dyy"]], axis=1)], axis=1)
+        assert np.array_equal(g.hessians(u), hess)

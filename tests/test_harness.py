@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from khgraph import cli, duality, harness, report, solver, verify
+from khgraph import bodies, cli, duality, harness, report, solver, verify
 from khgraph.config import parse_config
 from khgraph.errors import (
     ConfigError,
@@ -239,28 +239,35 @@ class TestCli:
         assert len(rows) == 5
 
     @pytest.mark.parametrize(
-        "body, y0, t_samples",
+        "body, y0, xi, t_samples",
         [
-            ("ball:", "0.5,0", "5"),
-            ("ball:nan", "0.5,0", "5"),
-            ("ball:0.5,0.1", "0.5,0", "5"),
-            ("ball:0.5", "nan,0", "5"),
-            ("ball:0.5", "0.5,0", "-1"),
+            ("ball:", "0.5,0", "0,1", "5"),
+            ("ball:nan", "0.5,0", "0,1", "5"),
+            ("ball:0.5,0.1", "0.5,0", "0,1", "5"),
+            ("ball:0.5", "nan,0", "0,1", "5"),
+            ("ball:0.5", "0.5,0", "0,1", "-1"),
+            ("ball:0.5", "0.5,0,0", "0,1", "5"),
+            ("ball:0.5", "0.5,0", "0,1,0", "5"),
+            ("ball:0.5", "0.5", "0,1", "5"),
         ],
         ids=["no-radius", "nan-radius", "dropped-center", "nan-anchor",
-             "negative-samples"],
+             "negative-samples", "y0-3d", "xi-3d", "y0-1d"],
     )
     def test_malformed_field_exit_two_without_traceback(
-        self, tmp_path, capsys, body, y0, t_samples
+        self, tmp_path, capsys, body, y0, xi, t_samples
     ):
         out = tmp_path / "field.csv"
-        code = cli.main(["field", "--y0", y0, "--xi", "0,1", "--body", body,
+        code = cli.main(["field", "--y0", y0, "--xi", xi, "--body", body,
                          "--out", str(out), "--t-samples", t_samples])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not out.exists()
+        # a vector of the wrong length is named by its option
+        for option, text in (("y0", y0), ("xi", xi)):
+            if len(text.split(",")) != 2:
+                assert f"'{option}'" in err
 
     def test_verify_exit_codes(self, capsys):
         assert cli.main(["verify", "--suite", "identities", "--seed", "1"]) == 0
@@ -299,9 +306,15 @@ def test_benchmark_trace_targets_resolve():
         import tracing
     finally:
         sys.path.pop(0)
-    inst = tracing.Instrumentation(tracing.Tracer())
+    tracer = tracing.Tracer()
+    inst = tracing.Instrumentation(tracer)
     try:
         inst.install()
+        # the traced grid build reports all five operators' entries, which
+        # share one stencil pattern
+        g = harness.build_grid(bodies.ball(0.5), 8, 16)
     finally:
         inst.uninstall()
     assert not hasattr(harness.run_solve, "__wrapped__")
+    (span,) = [s for s in tracer.spans if s[tracing.NAME] == "grid.build_grid"]
+    assert span[tracing.ATTRS]["stencil_nnz"] == 5 * g.stencils.indices.size

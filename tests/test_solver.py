@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from khgraph import bodies, rotations, solver, symfun
-from khgraph.errors import LineSearchStallError, NonConvergenceError
+from khgraph.errors import ConeViolationError, LineSearchStallError, NonConvergenceError
 from khgraph.grid import build_grid
 from khgraph.psi import cap_constant_psi, cap_manufactured_psi, constant_psi
 from khgraph.registry import cap_dual_exact, cap_exact_constant
@@ -45,6 +45,27 @@ class TestBatchedOperator:
                 )
                 assert vals[m] == pytest.approx(op.value, rel=1e-12)
                 np.testing.assert_allclose(grads[m], op.gradient, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [[[-2.0, 0.5], [0.5, -1.0]], [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+        ids=["negative-definite", "indefinite", "singular-psd"],
+    )
+    def test_cone_boundary_raises(self, k, bad):
+        # tr > 0 and det > 0 together: a negative-definite matrix has
+        # det > 0 and only its trace gives it away
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(8, 2, 2))
+        mats = b @ b.transpose(0, 2, 1) + 0.3 * np.eye(2)
+        mats[2] = bad
+        mats[5] = 3.0 * np.asarray(bad)
+        with pytest.raises(ConeViolationError) as info:
+            solver.dual_operator_batch(mats, k)
+        np.testing.assert_array_equal(info.value.nodes, [2, 5])
+        np.testing.assert_allclose(
+            info.value.eigenvalues, np.sort(np.linalg.eigvals(bad).real), atol=1e-14
+        )
 
 
 class TestResidual:
