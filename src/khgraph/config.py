@@ -78,7 +78,7 @@ def build_body(spec: dict, where: str) -> bodies.ConvexBody:
     if not isinstance(spec, dict):
         raise ConfigError(where, "body spec must be an object")
     kind = spec.get("kind")
-    if kind not in _BODY_KEYS:
+    if not isinstance(kind, str) or kind not in _BODY_KEYS:
         raise ConfigError(f"{where}.kind", f"must be one of {tuple(_BODY_KEYS)}")
     _check_keys(spec, {"kind": None, **_BODY_KEYS[kind]}, where)
     if kind == "ball":
@@ -115,7 +115,7 @@ def build_psi(spec: dict, where: str) -> psi.PsiSpec:
     if not isinstance(spec, dict):
         raise ConfigError(where, "psi spec must be an object")
     kind = spec.get("kind")
-    if kind not in _PSI_KEYS:
+    if not isinstance(kind, str) or kind not in _PSI_KEYS:
         raise ConfigError(f"{where}.kind", f"must be one of {tuple(_PSI_KEYS)}")
     _check_keys(spec, {"kind": None, **_PSI_KEYS[kind]}, where)
     if kind == "constant":

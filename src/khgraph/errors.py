@@ -87,7 +87,10 @@ class GridConstructionError(KHGraphError):
 
 
 class SingularJacobianError(KHGraphError):
-    """Newton Jacobian numerically singular; carries a smallest-σ estimate."""
+    """Newton Jacobian numerically singular; carries a smallest-σ estimate.
+
+    The sparse LU stops at an exactly zero pivot, which is reported as σ = 0.
+    """
 
     def __init__(self, smallest_singular_value):
         self.smallest_singular_value = float(smallest_singular_value)

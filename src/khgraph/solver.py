@@ -14,6 +14,10 @@ for eps > 0.  At eps = 0 the solution is unique only up to a constant, so the
 continuation stops at a positive eps and extrapolates.
 The grid is planar, so F* is det/tr (k = 1) or sqrt(det) (k = 2) of its
 argument, evaluated in closed form; symfun.eval_operator is its oracle.
+Every Jacobian is written on the grid's shared stencil pattern, so one
+fill-reducing column order (minimum degree on J^T J, SuperLU's MMD_ATA) is
+computed per problem from that pattern, and each Newton step factors the
+column-permuted Jacobian in that order with partial pivoting.
 
 The constant reported by the continuation is the one of the un-powered
 equation sigma_k(kappa) = c psi0^k: the recovered primal mean satisfies
@@ -112,6 +116,15 @@ class DualProblem:
         self.bstar = np.eye(2)[None, :, :] + outer / (1.0 + self.wstar)[:, None, None]
         self.interior = grid.interior_idx
         self.boundary = grid.boundary_idx
+        # MMD_ATA and SuperLU's postorder depend on the Jacobians' shared
+        # pattern alone, so a diagonally dominant probe on it fixes the order;
+        # the probe is CSR because the same arrays read as CSC are its transpose
+        st = grid.stencils
+        probe = sp.csr_matrix(
+            (np.ones(st.indices.size), st.indices, st.indptr), shape=(grid.n_nodes,) * 2
+        ) + sp.diags(np.diff(st.indptr) + 1.0)
+        lu = spla.splu(probe.tocsc(), permc_spec="MMD_ATA")
+        self.column_order = np.argsort(lu.perm_c)
 
     def dual_psi(self, eps: float) -> duality.DualPsi:
         return duality.DualPsi(exponential_psi(eps, self.psi_base))
@@ -125,7 +138,7 @@ class DualProblem:
 
     def argument_matrices(self, u: np.ndarray) -> np.ndarray:
         h = self.grid.hessians(u)
-        bhb = np.einsum("mij,mjk,mkl->mil", self.bstar, h, self.bstar)
+        bhb = self.bstar @ h @ self.bstar
         a = self.wstar[:, None, None] * bhb
         return 0.5 * (a + a.transpose(0, 2, 1))
 
@@ -151,9 +164,8 @@ class DualProblem:
         a = self.argument_matrices(u)
         _, dop = dual_operator_batch(a[self.interior], self.k)
         # chain rule through A = w* b* H b*: dF*/dH_pq = (w* b* F*' b*)_pq
-        dh = self.wstar[self.interior, None, None] * np.einsum(
-            "mij,mjk,mkl->mil", self.bstar[self.interior], dop, self.bstar[self.interior]
-        )
+        bi = self.bstar[self.interior]
+        dh = self.wstar[self.interior, None, None] * (bi @ dop @ bi)
         # each row's coefficient of each operator in OPS, summed on the shared
         # pattern: interior rows take dF*/dH against (dxx, dxy, dyy), boundary
         # rows beta . (dx, dy) with beta = Dh_omega(Du*)
@@ -247,18 +259,17 @@ def newton_solve(
     res = problem.residual(u, eps)
     rn = float(np.abs(res).max())
     hist = [rn]
+    q = problem.column_order
     for it in range(max_iter):
         if rn <= tol:
             return u, it, hist
         jac = problem.jacobian(u, eps)
+        step = np.empty_like(res)
         try:
-            lu = spla.splu(jac.tocsc())
-            step = lu.solve(-res)
-        except RuntimeError as exc:
-            smin = spla.eigsh(
-                (jac.T @ jac).tocsc(), k=1, which="SM", return_eigenvectors=False
-            )
-            raise SingularJacobianError(float(np.sqrt(max(smin[0], 0.0)))) from exc
+            lu = spla.splu(jac[:, q].tocsc(), permc_spec="NATURAL")
+        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+            raise SingularJacobianError(0.0) from exc
+        step[q] = lu.solve(-res)
         if not np.all(np.isfinite(step)):
             raise SingularJacobianError(0.0)
         alpha = 1.0

@@ -13,6 +13,7 @@ from khgraph.errors import (
     LineSearchStallError,
     StrictConvexityError,
 )
+from khgraph.psi import cap_constant_psi
 from khgraph.registry import INSTANCES, get_instance
 
 
@@ -313,8 +314,19 @@ def test_benchmark_trace_targets_resolve():
         # the traced grid build reports all five operators' entries, which
         # share one stencil pattern
         g = harness.build_grid(bodies.ball(0.5), 8, 16)
+        # newton_solve factors through scipy.sparse.linalg, where the
+        # benchmark's linsolve.factor wrapper sits
+        problem = solver.DualProblem(g, bodies.ball(0.5), 1, cap_constant_psi(0.5, 1))
+        solver.newton_solve(problem, solver.initial_guess(g, bodies.ball(0.5)), 0.4)
     finally:
         inst.uninstall()
     assert not hasattr(harness.run_solve, "__wrapped__")
     (span,) = [s for s in tracer.spans if s[tracing.NAME] == "grid.build_grid"]
     assert span[tracing.ATTRS]["stencil_nnz"] == 5 * g.stencils.indices.size
+    # the traced factors are of Jacobians on the shared stencil pattern
+    (newton,) = [i for i, s in enumerate(tracer.spans)
+                 if s[tracing.NAME] == "newton.newton_solve"]
+    factors = [s for s in tracer.spans
+               if s[tracing.NAME] == "linsolve.factor" and s[tracing.PARENT] == newton]
+    assert factors
+    assert all(s[tracing.ATTRS]["jac_nnz"] == g.stencils.indices.size for s in factors)

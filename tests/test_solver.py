@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from khgraph import bodies, rotations, solver, symfun
-from khgraph.errors import ConeViolationError, LineSearchStallError, NonConvergenceError
+from khgraph.errors import (
+    ConeViolationError,
+    ContinuationError,
+    LineSearchStallError,
+    NonConvergenceError,
+    SingularJacobianError,
+)
 from khgraph.grid import build_grid
 from khgraph.psi import cap_constant_psi, cap_manufactured_psi, constant_psi
 from khgraph.registry import cap_dual_exact, cap_exact_constant
@@ -201,6 +208,62 @@ class TestNewton:
         u0 = cap_dual_exact(grid.nodes, RHO) + smooth_noise(grid.nodes, 5e-3, rng)
         u, _, _ = solver.newton_solve(problem, u0, 0.3)
         assert problem.spd_margin(u) >= solver.SPD_FLOOR
+
+
+class TestLinearSolve:
+    @pytest.fixture(scope="class")
+    def cap32(self):
+        grid = build_grid(bodies.ball(RHO), 32, 64)
+        omega = bodies.ball(RHO)
+        problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
+        return grid, problem, solver.initial_guess(grid, omega)
+
+    def test_column_order_is_a_permutation(self, cap32):
+        grid, problem, _ = cap32
+        q = problem.column_order
+        np.testing.assert_array_equal(np.sort(q), np.arange(grid.n_nodes))
+
+    def test_shared_order_matches_fresh_minimum_degree(self, cap32):
+        # the order taken once from the stencil pattern fills exactly as a
+        # fresh MMD_ATA factor of the real Jacobian, and less than COLAMD
+        _, problem, u = cap32
+        jac = problem.jacobian(u, 0.4)
+        q = problem.column_order
+        shared = spla.splu(jac[:, q].tocsc(), permc_spec="NATURAL").nnz
+        fresh = spla.splu(jac.tocsc(), permc_spec="MMD_ATA").nnz
+        colamd = spla.splu(jac.tocsc()).nnz
+        assert shared == fresh
+        assert shared < colamd
+
+    def test_newton_step_matches_default_factor(self, cap32):
+        # one full Newton step from the cap guess, against a default SuperLU
+        _, problem, u = cap32
+        res = problem.residual(u, 0.4)
+        step = spla.splu(problem.jacobian(u, 0.4).tocsc()).solve(-res)
+        with pytest.raises(NonConvergenceError) as err:
+            solver.newton_solve(problem, u, 0.4, max_iter=1)
+        taken = err.value.iterate - u
+        assert np.abs(taken - step).max() <= 1e-10 * np.abs(step).max()
+
+    def test_singular_jacobian_raises_cleanly(self, monkeypatch):
+        # an exactly zero row is an exactly zero pivot: a SingularJacobianError
+        # at once, and a ContinuationError from the continuation
+        grid = build_grid(bodies.ball(RHO), 16, 32)
+        omega = bodies.ball(RHO)
+        real = solver.DualProblem.jacobian
+        row = grid.flat_index(8, 5)
+
+        def zero_row(self, u, eps):
+            jac = real(self, u, eps)
+            jac.data[jac.indptr[row]:jac.indptr[row + 1]] = 0.0
+            return jac
+
+        monkeypatch.setattr(solver.DualProblem, "jacobian", zero_row)
+        problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
+        with pytest.raises(SingularJacobianError):
+            solver.newton_solve(problem, solver.initial_guess(grid, omega), 0.4)
+        with pytest.raises(ContinuationError):
+            solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
 
 
 class TestContinuation:
