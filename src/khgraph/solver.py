@@ -12,6 +12,11 @@ SPD exactly on convex states, the boundary condition is classically oblique
 increasing in u*, which keeps the Newton linearization uniformly invertible
 for eps > 0.  At eps = 0 the solution is unique only up to a constant, so the
 continuation stops at a positive eps and extrapolates.
+Between levels the solution moves by nearly a constant plus an O(eps) change
+of shape, so each level starts from a prediction: a secant in eps through the
+last two solutions, then the constant that balances exp(eps u*) against F* in
+the mean.  That shift is exact, since a constant leaves D^2u* and Du*
+unchanged and scales the exponential term by exp(eps s).
 The grid is planar, so F* is det/tr (k = 1) or sqrt(det) (k = 2) of its
 argument, evaluated in closed form; symfun.eval_operator is its oracle.
 Every Jacobian is written on the grid's shared stencil pattern, so one
@@ -57,7 +62,7 @@ class SolverState:
     u_star: np.ndarray
     eps: float
     residual_norm: float
-    history: list = field(default_factory=list)  # (eps, iterations, residual)
+    history: list = field(default_factory=list)  # one record per eps level
     diagnostics: dict = field(default_factory=dict)
 
     def jets(self):
@@ -145,19 +150,37 @@ class DualProblem:
     def boundary_h(self, du: np.ndarray):
         return self.omega.h(du), self.omega.grad_h(du)
 
-    def residual(self, u: np.ndarray, eps: float) -> np.ndarray:
-        """Residual vector; raises ConeViolationError off the convex cone."""
+    def interior_sides(self, u: np.ndarray, eps: float):
+        """(F*(A), psi*(y, u*)) at the interior nodes; ConeViolationError off the cone."""
         a = self.argument_matrices(u)
         fval, _ = dual_operator_batch(a[self.interior], self.k)
-        psi_star = self.dual_psi(eps)
+        rhs = self.dual_psi(eps).evaluate(self.grid.nodes[self.interior], u[self.interior])
+        return fval, rhs
+
+    def residual(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """Residual vector; raises ConeViolationError off the convex cone."""
+        fval, rhs = self.interior_sides(u, eps)
         res = np.empty(self.grid.n_nodes)
-        res[self.interior] = fval - psi_star.evaluate(
-            self.grid.nodes[self.interior], u[self.interior]
-        )
+        res[self.interior] = fval - rhs
         du = self.grid.gradient(u)
         hvals, _ = self.boundary_h(du[self.boundary])
         res[self.boundary] = hvals
         return res
+
+    def balancing_shift(self, u: np.ndarray, eps: float) -> float:
+        """Constant s with mean(log F*(A) - log psi*(y, u* + s)) = 0 over the interior.
+
+        The dual right-hand side is log-linear in u*: psi*(y, u* + s) =
+        exp(r s) psi*(y, u*) with r = psi*_z / psi* = eps for a constant or
+        normal-only psi0 (for an exponential psi0, eps plus its own rate).  A
+        constant leaves D^2u* and Du* unchanged, so the shift moves every
+        interior row's log by exactly r s and no boundary row, no Hessian and
+        no SPD margin.  u must be strictly convex.
+        """
+        fval, rhs = self.interior_sides(u, eps)
+        yi, ui = self.grid.nodes[self.interior], u[self.interior]
+        rate = self.dual_psi(eps).partial_z(yi, ui) / rhs
+        return float(np.mean(np.log(fval / rhs) / rate))
 
     def jacobian(self, u: np.ndarray, eps: float) -> sp.csr_matrix:
         grid, st = self.grid, self.grid.stencils
@@ -322,23 +345,46 @@ def continuation_solve(
     tol: float = NEWTON_TOL,
     spd_floor: float = SPD_FLOOR,
 ) -> SolverState:
-    """Solve along a decreasing eps schedule, warm-starting each level.
+    """Solve along a decreasing eps schedule, predicting each level's start.
 
-    c_estimate extrapolates k * eps * mean(u_eps) linearly in eps to zero
-    from the last two levels; mean_u of the final level is recorded in the
-    diagnostics.  A failing level raises ContinuationError carrying the
-    history records of the levels completed before it.
+    Each level starts from a prediction (Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, ch. 2).  Once two levels have converged,
+    a secant in eps through their solutions is the guess, kept only while it
+    stays above the SPD floor.  Then the balancing shift
+    (DualProblem.balancing_shift) adds the constant that zeroes the mean log
+    of the interior rows.  The shift is exact algebra, not a fit: the
+    exponential continuation term makes psi* log-linear in u*, and a
+    constant changes neither D^2u* nor Du*.  The solution moves between
+    levels by nearly such a constant (k * eps * mean(u_eps) -> log c) plus
+    an O(eps) change of shape, which the secant follows.  A first start
+    below the SPD floor goes to newton_solve unshifted, to be repaired there.
+
+    Each history record holds the level's eps, Newton iterations, start and
+    final residuals and primal mean.  c_estimate extrapolates
+    k * eps * mean(u_eps) linearly in eps to zero from the last two levels;
+    mean_u of the final level is recorded in the diagnostics.  A failing
+    level raises ContinuationError carrying the history records of the
+    levels completed before it.
     """
     schedule = list(eps_schedule)
-    if any(e <= 0 for e in schedule) or any(
+    if not schedule or any(e <= 0 for e in schedule) or any(
         schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)
     ):
-        raise ValueError("eps schedule must be strictly decreasing and positive")
+        raise ValueError("eps schedule must be non-empty, strictly decreasing and positive")
     problem = DualProblem(grid, omega, k, psi_base)
     u = initial_guess(grid, omega)
     history = []
     logc = []
+    solved = []  # (eps, u) of the last two converged levels
     for eps in schedule:
+        if len(solved) == 2:
+            (e0, u0), (e1, u1) = solved
+            guess = u1 + (eps - e1) / (e1 - e0) * (u1 - u0)
+            if problem.spd_margin(guess) >= spd_floor:
+                u = guess
+        # a converged level and an accepted guess both sit above the floor
+        if solved or problem.spd_margin(u) >= spd_floor:
+            u = u + problem.balancing_shift(u, eps)
         try:
             u, iters, hist = newton_solve(
                 problem, u, eps, tol=tol, spd_floor=spd_floor
@@ -347,9 +393,10 @@ def continuation_solve(
             raise ContinuationError(
                 f"continuation failed at eps = {eps:g}: {exc}", history
             ) from exc
+        solved = solved[-1:] + [(eps, u)]
         mean_u = primal_mean(problem, u)
-        history.append({"eps": eps, "iterations": iters, "residual": hist[-1],
-                        "mean_u": mean_u})
+        history.append({"eps": eps, "iterations": iters, "start_residual": hist[0],
+                        "residual": hist[-1], "mean_u": mean_u})
         logc.append(k * eps * mean_u)
     if len(logc) >= 2:
         e1, e2 = schedule[-2], schedule[-1]

@@ -84,7 +84,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     a = a.copy()
     norm = max(np.linalg.norm(a), 1e-300)
     for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
+        # summed directly: ||A||^2 - ||diag A||^2 cancels below sqrt(eps) ||A||
+        off = np.linalg.norm(a - np.diag(np.diag(a)))
         if off <= tol * norm:
             break
         for p in range(n - 1):

@@ -352,16 +352,16 @@ class TestPsiConversions:
     def test_exponential_family_closed_form(self):
         # psi = exp(-eps z / p_{n+1}) psi0(p)  ==>  psi* = exp(eps z)/psi0
         rng = np.random.default_rng(11)
-        base = normal_poly_psi(2.0, linear=[0.1, -0.15, 0.2])
         eps = 0.37
-        _, star = duality.psi_conversions(exponential_psi(eps, base))
-        for _ in range(100):
-            y = rng.normal(size=2)
-            z = rng.normal() * 2
-            w = np.sqrt(1 + y @ y)
-            q = np.concatenate([-y, [1.0]]) / w
-            expected = np.exp(eps * z) / float(base.evaluate(0.0, q))
-            assert star.evaluate(y, z) == pytest.approx(expected, rel=1e-13)
+        for base in (normal_poly_psi(2.0, linear=[0.1, -0.15, 0.2]), constant_psi(1.3)):
+            _, star = duality.psi_conversions(exponential_psi(eps, base))
+            for _ in range(100):
+                y = rng.normal(size=2)
+                z = rng.normal() * 2
+                w = np.sqrt(1 + y @ y)
+                q = np.concatenate([-y, [1.0]]) / w
+                expected = np.exp(eps * z) / float(base.evaluate(0.0, q))
+                assert star.evaluate(y, z) == pytest.approx(expected, rel=1e-13)
 
     def test_monotonicity_transfer(self):
         # psi_z <= 0 implies psi*_z >= 0 wherever the flag is set

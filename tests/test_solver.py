@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from khgraph import bodies, rotations, solver, symfun
+from khgraph.config import NEWTON_TOL
 from khgraph.errors import (
     ConeViolationError,
     ContinuationError,
@@ -12,7 +13,13 @@ from khgraph.errors import (
     SingularJacobianError,
 )
 from khgraph.grid import build_grid
-from khgraph.psi import cap_constant_psi, cap_manufactured_psi, constant_psi
+from khgraph.psi import (
+    cap_constant_psi,
+    cap_manufactured_psi,
+    constant_psi,
+    exponential_psi,
+    normal_poly_psi,
+)
 from khgraph.registry import cap_dual_exact, cap_exact_constant
 
 RHO = 0.5
@@ -298,9 +305,44 @@ class TestContinuation:
 
     def test_bad_schedule_rejected(self, cap_setup):
         grid, omega, _ = cap_setup
-        with pytest.raises(ValueError):
-            solver.continuation_solve(grid, omega, 1, constant_psi(1.0),
-                                      eps_schedule=[0.1, 0.2])
+        for schedule in ([0.1, 0.2], []):
+            with pytest.raises(ValueError):
+                solver.continuation_solve(grid, omega, 1, constant_psi(1.0),
+                                          eps_schedule=schedule)
+
+    def test_levels_start_from_prediction(self, cap_setup):
+        # an unchanged warm start would begin each later level at residual
+        # 0.19; the secant and the shift start them far closer
+        grid, omega, _ = cap_setup
+        state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
+        starts = [h["start_residual"] for h in state.history]
+        assert sum(h["iterations"] for h in state.history) <= 13
+        assert max(starts) <= 5e-2
+        assert max(starts[2:]) <= 1e-3
+        assert all(h["residual"] <= NEWTON_TOL for h in state.history)
+        c = state.diagnostics["c_estimate"]
+        assert c == pytest.approx(cap_exact_constant(RHO, 1), rel=7e-3)
+
+    @pytest.mark.parametrize("base", [
+        constant_psi(1.0),
+        normal_poly_psi(1.0, linear=[0.1, -0.05, 0.08]),
+        exponential_psi(0.2, constant_psi(2.0)),
+    ], ids=["constant", "normal-only", "exponential"])
+    def test_balancing_shift_is_exact(self, cap_setup, base):
+        # psi* is log-linear in u*, so one shift zeroes the mean log of the
+        # interior rows and leaves the boundary rows and Hessians unchanged
+        grid, omega, _ = cap_setup
+        problem = solver.DualProblem(grid, omega, 1, base)
+        u = solver.initial_guess(grid, omega)
+        eps = 0.1
+        shifted = u + problem.balancing_shift(u, eps)
+        fval, rhs = problem.interior_sides(shifted, eps)
+        assert abs(np.mean(np.log(fval / rhs))) <= 1e-12
+        bnd = problem.boundary
+        np.testing.assert_allclose(problem.residual(shifted, eps)[bnd],
+                                   problem.residual(u, eps)[bnd], atol=1e-12)
+        assert problem.spd_margin(shifted) == pytest.approx(problem.spd_margin(u),
+                                                            rel=1e-9)
 
 
 class TestConvergenceOrder:
