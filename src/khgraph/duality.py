@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from . import symfun
 from .errors import OutOfImageError
-from .geometry import Jet2
+from .geometry import Jet2, Jets
 from .meshfree import JetInterpolant
 from .psi import PsiSpec
 
@@ -245,10 +245,27 @@ class SampledFunction:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.values = np.asarray(self.values, dtype=float).ravel()
 
-    def jet_oracle(self) -> Callable[[np.ndarray], Jet2]:
-        if self.jets is not None:
-            return self.jets
-        return JetInterpolant(self.points, self.values, degree=2)
+    def jet_oracle(self) -> Callable[[np.ndarray], Jets]:
+        """Batched jets, points (n, dim) to Jets of shape (n,).
+
+        An oracle with an array-first jet method (JetInterpolant,
+        GridJetInterpolant) answers a batch in one fit; any other Jet2
+        callable is asked point by point and its jets stacked.
+        """
+        if self.jets is None:
+            return JetInterpolant(self.points, self.values, degree=2).jet
+        batched = getattr(self.jets, "jet", None)
+        if batched is not None:
+            return batched
+        jets = self.jets
+
+        def stacked(points: np.ndarray) -> Jets:
+            js = [jets(p) for p in points]
+            return Jets(np.array([j.value for j in js]),
+                        np.stack([j.gradient for j in js]),
+                        np.stack([j.hessian for j in js]))
+
+        return stacked
 
 
 @dataclass
@@ -260,48 +277,75 @@ class LegendreResult(SampledFunction):
 
 
 def invert_gradient_map(
-    jets: Callable[[np.ndarray], Jet2],
-    target: np.ndarray,
-    seed: np.ndarray,
+    jets: Callable[[np.ndarray], Jets],
+    targets: np.ndarray,
+    seeds: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 60,
     stall_tol: float = 1e-8,
 ):
-    """Solve Du(x) = target by damped Newton from the seed; returns (x, jet, iters).
+    """Solve Du(x_i) = targets_i for every i by damped Newton from seeds_i.
+
+    Array-first: targets and seeds are (n, dim), and jets is a batched
+    oracle mapping points (m, dim) to Jets of shape (m,).  Returns (x, jets
+    at x, iterations), of shapes (n, dim), (n,) and (n,).  Every sample
+    follows the rule it would follow alone and is frozen once done: a full
+    Newton step halved down to 1e-8 until it meets the Armijo decrease
+    (1e-4) of |Du - target|; converged at tol.  Each round asks the oracle
+    only for the samples still iterating, so with an oracle that answers a
+    batch as it answers each point alone, sample i's result does not depend
+    on the rest of the batch.
 
     Estimated jet oracles are only piecewise smooth (the fitting patch
     switches between queries), so the iteration may stall at the oracle's
     roughness level; a stall below stall_tol counts as converged, anything
-    larger raises OutOfImageError.
+    larger fails that sample.  After the batch, OutOfImageError names the
+    first failing target (lowest index).
     """
-    x = np.asarray(seed, dtype=float).copy()
-    jet = jets(x)
-    res = jet.gradient - target
-    rn = float(np.linalg.norm(res))
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    x = np.array(seeds, dtype=float, ndmin=2)
+    at = Jets(*map(np.array, jets(x)))  # own copies, updated in place
+    rn = np.linalg.norm(at.gradient - targets, axis=-1)
+    iters = np.full(len(x), max_iter)
+    failed = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
     for it in range(max_iter):
-        if rn <= tol:
-            return x, jet, it
-        try:
-            step = np.linalg.solve(jet.hessian, -res)
-        except np.linalg.LinAlgError as exc:
-            raise OutOfImageError(target, rn) from exc
+        done = rn[active] <= tol
+        iters[active[done]] = it
+        active = active[~done]
+        if active.size == 0:
+            break
+        # a zero LU pivot (what makes np.linalg.solve raise) zeroes the determinant
+        singular = np.linalg.det(at.hessian[active]) == 0.0
+        failed[active[singular]] = True
+        active = active[~singular]
+        rhs = (targets - at.gradient)[active]
+        step = np.linalg.solve(at.hessian[active], rhs[..., None])[..., 0]
+        # backtracking in lockstep: every searching sample tries the same alpha
+        searching = np.arange(active.size)
         alpha = 1.0
-        while alpha > 1e-8:
-            x_new = x + alpha * step
-            jet_new = jets(x_new)
-            res_new = jet_new.gradient - target
-            rn_new = float(np.linalg.norm(res_new))
-            if rn_new <= (1.0 - 1e-4 * alpha) * rn:
-                break
+        while searching.size and alpha > 1e-8:
+            idx = active[searching]
+            x_new = x[idx] + alpha * step[searching]
+            trial = jets(x_new)
+            rn_new = np.linalg.norm(trial.gradient - targets[idx], axis=-1)
+            ok = rn_new <= (1.0 - 1e-4 * alpha) * rn[idx]
+            acc = idx[ok]
+            x[acc], rn[acc] = x_new[ok], rn_new[ok]
+            for field, new in zip(at, trial):
+                field[acc] = new[ok]
+            searching = searching[~ok]
             alpha *= 0.5
-        else:
-            if rn <= stall_tol:
-                return x, jet, it
-            raise OutOfImageError(target, rn)
-        x, jet, res, rn = x_new, jet_new, res_new, rn_new
-    if rn <= max(tol * 10, stall_tol):
-        return x, jet, max_iter
-    raise OutOfImageError(target, rn)
+        stalled = active[searching]
+        iters[stalled] = it
+        failed[stalled[~(rn[stalled] <= stall_tol)]] = True
+        active = np.delete(active, searching)
+    # samples that ran out of iterations: near-converged counts
+    failed[active[~(rn[active] <= max(tol * 10, stall_tol))]] = True
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
+        raise OutOfImageError(targets[i], rn[i])
+    return x, at, iters
 
 
 def legendre(
@@ -313,41 +357,36 @@ def legendre(
     """Legendre transform of a sampled strictly convex function.
 
     u*(y) = x(y).y - u(x(y)) with x(y) the Newton inverse of the gradient
-    map, seeded from the sample whose gradient is nearest to y.  Default
-    targets are the gradient images of the sample points themselves, so the
-    result is sampled on Du(domain).  The returned object carries exact dual
-    jets through the inverse-Hessian relation D^2u*(y) = (D^2u(x(y)))^{-1}.
+    map, seeded from the sample whose gradient is nearest to y.  All targets
+    go through one batched invert_gradient_map call, with their seeds from
+    one nearest-neighbour query; a failing target raises OutOfImageError
+    naming the first one.  Default targets are the gradient images of the
+    sample points themselves, so the result is sampled on Du(domain).  The
+    returned object carries exact dual jets through the inverse-Hessian
+    relation D^2u*(y) = (D^2u(x(y)))^{-1}; each dual jet is the one-target
+    case of the same inversion.
     """
     jets = f.jet_oracle()
-    grads = np.stack([jets(p).gradient for p in f.points])
+    grads = jets(f.points).gradient
     if targets is None:
         targets = grads.copy()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     seed_tree = cKDTree(grads)
-    values = np.empty(targets.shape[0])
-    xs = np.empty_like(targets)
-    iters = np.empty(targets.shape[0], dtype=int)
-    for i, y in enumerate(targets):
-        _, j = seed_tree.query(y)
-        x, jet, it = invert_gradient_map(
-            jets, y, f.points[j], tol=tol, stall_tol=stall_tol
+
+    def transform(ys: np.ndarray):
+        _, j = seed_tree.query(ys)
+        x, at, iters = invert_gradient_map(
+            jets, ys, f.points[j], tol=tol, stall_tol=stall_tol
         )
-        values[i] = x @ y - jet.value
-        xs[i] = x
-        iters[i] = it
+        return x, (x * ys).sum(axis=-1) - at.value, at.hessian, iters
+
+    xs, values, _, iters = transform(targets)
 
     def dual_jets(yq: np.ndarray) -> Jet2:
         yq = np.asarray(yq, dtype=float).ravel()
-        _, j = seed_tree.query(yq)
-        x, jet, _ = invert_gradient_map(
-            jets, yq, f.points[j], tol=tol, stall_tol=stall_tol
-        )
-        return Jet2(
-            point=yq,
-            value=x @ yq - jet.value,
-            gradient=x,
-            hessian=np.linalg.inv(jet.hessian),
-        )
+        x, value, hess, _ = transform(yq[None])
+        return Jet2(point=yq, value=value[0], gradient=x[0],
+                    hessian=np.linalg.inv(hess[0]))
 
     return LegendreResult(
         points=targets,

@@ -19,6 +19,7 @@ shape operator h_ik g^kj.  The support value is <X, N> = (u - x.Du)/w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,25 @@ class Jet2:
     @property
     def dim(self) -> int:
         return self.point.size
+
+
+class Jets(NamedTuple):
+    """Jets at a batch of points: value (...,), gradient (..., n), hessian (..., n, n).
+
+    What the array-first jet oracles (GridJetInterpolant.jet,
+    JetInterpolant.jet) return.  The fields carry Jet2's names, so code that
+    reads only .gradient and .hessian (obliqueness_chi) takes either.
+    """
+
+    value: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+    def reshape(self, lead: tuple) -> "Jets":
+        """The same jets with leading axes lead."""
+        n = self.gradient.shape[-1]
+        return Jets(self.value.reshape(lead), self.gradient.reshape(lead + (n,)),
+                    self.hessian.reshape(lead + (n, n)))
 
 
 @dataclass
@@ -178,27 +198,30 @@ def primal_linearization(jet: Jet2, k: int, psi: PsiSpec):
     return gij, gs, psis
 
 
-def obliqueness_chi(jet: Jet2, nu: np.ndarray, target) -> tuple[float, float]:
-    """Obliqueness at a boundary point, by definition and by the closed formula.
+def obliqueness_chi(jet, nu: np.ndarray, target):
+    """Obliqueness at boundary points, by definition and by the closed formula.
 
     chi_def = <Dh(Du), nu> with h the target domain's defining function and nu
     the interior unit normal of the source boundary; chi_formula =
     sqrt(u^{ij} nu_i nu_j * u_kl h_k h_l).  The two agree whenever the
-    gradient image traces the target boundary, which is required up to 1e-8.
+    gradient image traces the target boundary, which is required up to 1e-8
+    at every point.  Broadcasts over leading axes: a Jets batch with normals
+    (..., n) gives (chi_def, chi_formula) of shape (...); one Jet2 is the
+    0-d case.
     """
-    nu = np.asarray(nu, dtype=float).ravel()
-    du = jet.gradient
-    level = abs(float(target.h(du)))
+    nu = np.asarray(nu, dtype=float)
+    du = np.asarray(jet.gradient, dtype=float)
+    level = float(np.abs(target.h(du)).max())
     if level > 1e-8:
         raise BoundaryMismatchError(level, 1e-8)
-    dh = np.asarray(target.grad_h(du), dtype=float).ravel()
-    chi_def = float(dh @ nu)
-    hess = jet.hessian
+    dh = np.asarray(target.grad_h(du), dtype=float)
+    chi_def = (dh * nu).sum(axis=-1)
+    hess = np.asarray(jet.hessian, dtype=float)
     try:
         hess_inv = np.linalg.inv(hess)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError("jet hessian not invertible", 0.0, 0.0) from exc
-    quad_nu = float(nu @ hess_inv @ nu)
-    quad_h = float(dh @ hess @ dh)
-    chi_formula = float(np.sqrt(max(0.0, quad_nu * quad_h)))
+    quad_nu = (nu[..., None, :] @ hess_inv @ nu[..., :, None])[..., 0, 0]
+    quad_h = (dh[..., None, :] @ hess @ dh[..., :, None])[..., 0, 0]
+    chi_formula = np.sqrt(np.maximum(0.0, quad_nu * quad_h))
     return chi_def, chi_formula

@@ -26,7 +26,8 @@ import scipy.sparse as sp
 from .bodies import ConvexBody, gauge_map
 from .config import MIN_GRID
 from .errors import GridConstructionError
-from .meshfree import jet_weight_rows
+from .geometry import Jet2, Jets
+from .meshfree import jet_weight_rows, patch_jets
 
 STENCIL_RAYS = 5  # fewest rays in a window
 STENCIL_RINGS = 5
@@ -110,15 +111,19 @@ class Grid:
     def flat_index(self, ring: int, ray: int) -> int:
         return (ring - 1) * self.n_theta + (ray % self.n_theta)
 
-    def locate(self, point: np.ndarray) -> tuple[int, int]:
-        """Logical (ring, ray) of the node nearest to a physical point."""
-        v = np.asarray(point, dtype=float) - self.body.interior_point
-        theta = float(np.arctan2(v[1], v[0])) % (2.0 * np.pi)
-        ray = int(round(theta / (2.0 * np.pi / self.n_theta))) % self.n_theta
+    def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Logical (ring, ray) of the node nearest to each physical point.
+
+        Points (..., 2) give integer arrays of shape (...); one point is
+        the 0-d case.
+        """
+        v = np.asarray(points, dtype=float) - self.body.interior_point
+        theta = np.arctan2(v[..., 1], v[..., 0]) % (2.0 * np.pi)
+        ray = np.rint(theta / (2.0 * np.pi / self.n_theta)).astype(int) % self.n_theta
         rho = self.body.gauge_radius(theta)
-        frac = float(np.linalg.norm(v)) / max(rho, 1e-300)
-        ring = int(np.searchsorted(self.radii, frac)) + 1
-        return min(max(ring, 1), self.n_r), ray
+        frac = np.linalg.norm(v, axis=-1) / np.maximum(rho, 1e-300)
+        ring = np.searchsorted(self.radii, frac) + 1
+        return np.clip(ring, 1, self.n_r), ray
 
     def jet_interpolant(self, values: np.ndarray) -> "GridJetInterpolant":
         return GridJetInterpolant(self, values)
@@ -283,22 +288,29 @@ class GridJetInterpolant:
         if self.values.size != grid.n_nodes:
             raise ValueError("values length does not match the grid")
 
-    def jet(self, query: np.ndarray):
-        query = np.asarray(query, dtype=float).ravel()
+    def jet(self, query: np.ndarray) -> Jets:
+        """Jets at query points (..., 2); one query is the 0-d case.
+
+        Queries are grouped by the ring they locate to; all windows of a
+        ring have one shape, so each ring present takes one batched fit, and
+        a batch answers every query exactly as it would alone.
+        """
+        query = np.asarray(query, dtype=float)
+        q = query.reshape(-1, 2)
         g = self.grid
-        j, i = g.locate(query)
-        patch = _logical_patch(j, i, g.n_r, g.n_theta, g.radii)
-        w_val, w_grad, w_hess = jet_weight_rows(g.nodes[patch], query, STENCIL_DEGREE)
-        f = self.values[patch]
-        hess = w_hess @ f
-        return float(w_val @ f), w_grad @ f, 0.5 * (hess + hess.T)
+        rings, rays = g.locate(q)
+        out = Jets(np.empty(len(q)), np.empty((len(q), 2)), np.empty((len(q), 2, 2)))
+        for j in np.unique(rings):
+            sel = np.flatnonzero(rings == j)
+            patch = _logical_patch(int(j), rays[sel], g.n_r, g.n_theta, g.radii)
+            rows = jet_weight_rows(g.nodes[patch], q[sel], STENCIL_DEGREE)
+            for dst, src in zip(out, patch_jets(rows, self.values[patch])):
+                dst[sel] = src
+        return out.reshape(query.shape[:-1])
 
     def __call__(self, query):
-        from .geometry import Jet2
-
-        value, grad, hess = self.jet(query)
-        return Jet2(point=np.asarray(query, dtype=float), value=value,
-                    gradient=grad, hessian=hess)
+        query = np.asarray(query, dtype=float).ravel()
+        return Jet2(query, *self.jet(query))
 
 
 def _quad_weights(body: ConvexBody, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:

@@ -17,13 +17,18 @@ The fit broadcasts over leading axes: jet_weight_rows takes a batch of
 equal-sized patches (..., m, dim) with centers (..., dim) and gives each
 patch the same extended-precision operations it would get alone, so a
 batch reproduces the one-patch weights bit for bit.  A single patch is the
-0-d case of the same code.
+0-d case of the same code.  patch_jets contracts such rows with the
+patches' sample values the same way, one patch at a time, so the jet
+oracles built on them (JetInterpolant here, GridJetInterpolant on grids)
+answer a batch of queries exactly as they answer each query alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .geometry import Jet2, Jets
 
 
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
@@ -144,6 +149,20 @@ def jet_weight_rows(points: np.ndarray, center: np.ndarray, degree: int):
     return w_val, w_grad, w_hess
 
 
+def patch_jets(rows, f: np.ndarray) -> Jets:
+    """Jets of patch values f (s, m) through the weight rows of s patches.
+
+    rows is what jet_weight_rows returns for patches (s, m, dim); every
+    contraction is a stacked matmul, one patch per item, so a patch's jet
+    does not depend on the rest of the batch.
+    """
+    w_val, w_grad, w_hess = rows
+    value = (w_val[:, None, :] @ f[:, :, None])[:, 0, 0]
+    grad = (w_grad @ f[:, :, None])[..., 0]
+    hess = (w_hess @ f[:, None, :, None])[..., 0]
+    return Jets(value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
+
+
 class JetInterpolant:
     """Scattered-data jets: value/gradient/Hessian estimates at query points."""
 
@@ -160,21 +179,19 @@ class JetInterpolant:
         )
         self.tree = cKDTree(self.points)
 
-    def jet(self, query: np.ndarray):
-        """(value, gradient, hessian) of the local fit at one query point."""
-        query = np.asarray(query, dtype=float).ravel()
-        _, idx = self.tree.query(query, k=self.n_neighbors)
-        idx = np.atleast_1d(idx)
-        w_val, w_grad, w_hess = jet_weight_rows(self.points[idx], query, self.degree)
-        f = self.values[idx]
-        value = float(w_val @ f)
-        grad = w_grad @ f
-        hess = w_hess @ f
-        return value, grad, 0.5 * (hess + hess.T)
+    def jet(self, query: np.ndarray) -> Jets:
+        """Jets of the local fits at query points (..., dim); one point is the 0-d case.
+
+        Each query is fitted over its n_neighbors nearest samples, all
+        queries in one batched jet_weight_rows call.
+        """
+        query = np.asarray(query, dtype=float)
+        q = query.reshape(-1, self.dim)
+        _, idx = self.tree.query(q, k=self.n_neighbors)
+        idx = idx.reshape(q.shape[0], -1)
+        rows = jet_weight_rows(self.points[idx], q, self.degree)
+        return patch_jets(rows, self.values[idx]).reshape(query.shape[:-1])
 
     def __call__(self, query):
-        from .geometry import Jet2
-
-        value, grad, hess = self.jet(query)
-        return Jet2(point=np.asarray(query, dtype=float), value=value,
-                    gradient=grad, hessian=hess)
+        query = np.asarray(query, dtype=float).ravel()
+        return Jet2(query, *self.jet(query))

@@ -59,19 +59,12 @@ def write_grid_csv(path, nodes, u_star, gradients, radii) -> None:
     radii holds the eigenvalues of the dual argument matrix per node (the
     curvature radii on converged states), sorted ascending.
     """
+    table = np.column_stack([nodes[:, 0], nodes[:, 1], u_star, gradients[:, 0],
+                             gradients[:, 1], radii[:, 0], radii[:, -1]])
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(nodes.shape[0]):
-            row = (
-                nodes[i, 0],
-                nodes[i, 1],
-                u_star[i],
-                gradients[i, 0],
-                gradients[i, 1],
-                radii[i, 0],
-                radii[i, -1],
-            )
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def read_grid_csv(path) -> dict:

@@ -436,24 +436,21 @@ def recover_primal(
     The node samples come for free (x = Du*(y), u(x) = x.y - u*); the
     boundary report re-samples the source boundary independently, maps it
     through Du by Newton inversion of Du*, and measures how far the image
-    lies from the target boundary.
+    lies from the target boundary.  The inversion is one batched
+    invert_gradient_map call over all boundary samples, each seeded from
+    the boundary node whose image is closest.
     """
     grid = state.grid
     u = state.u_star
     du = grid.gradient(u)
     values = (du * grid.nodes).sum(axis=1) - u
-    jets = state.jets()
     n_b = n_boundary or grid.n_theta
     thetas = np.linspace(0.0, 2.0 * np.pi, n_b, endpoint=False)
     bnd_x = problem.omega.boundary_param(thetas)
-    # seed the inversion from the boundary node whose image is closest
     images = du[grid.boundary_idx]
-    ys = np.empty_like(bnd_x)
-    for i, x in enumerate(bnd_x):
-        j = int(np.argmin(((images - x) ** 2).sum(axis=1)))
-        seed = grid.nodes[grid.boundary_idx[j]]
-        yq, _, _ = duality.invert_gradient_map(jets, x, seed, tol=1e-10)
-        ys[i] = yq
+    dist2 = ((bnd_x[:, None, :] - images[None, :, :]) ** 2).sum(axis=2)
+    seeds = grid.nodes[grid.boundary_idx[np.argmin(dist2, axis=1)]]
+    ys, _, _ = duality.invert_gradient_map(state.jets().jet, bnd_x, seeds, tol=1e-10)
     target = grid.body
     defect = float(np.abs(target.h(ys)).max())
     bnd_star = target.boundary_param(thetas)
@@ -473,7 +470,11 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def diagnostics(state: SolverState, problem: DualProblem) -> dict:
-    """chi_min (both routes), M, M_tilde of a converged state."""
+    """chi_min (both routes), M, M_tilde of a converged state.
+
+    The obliqueness of every boundary node comes from one batched
+    geometry.obliqueness_chi call on the primal jets there.
+    """
     grid = state.grid
     u = state.u_star
     du = grid.gradient(u)
@@ -483,21 +484,18 @@ def diagnostics(state: SolverState, problem: DualProblem) -> dict:
     m_big = float(lam[:, -1].max())
 
     bidx = grid.boundary_idx
+    x = du[bidx]  # points on the source boundary
     # interior unit normals of the source boundary at the points x = Du*
-    nus = problem.omega.grad_h(du[bidx])
+    nus = problem.omega.grad_h(x)
     nus /= np.linalg.norm(nus, axis=1)[:, None]
-    chi_def = np.empty(bidx.size)
-    chi_formula = np.empty(bidx.size)
-    for i, (idx, nu) in enumerate(zip(bidx, nus)):
-        x = du[idx]  # point on the source boundary
-        # primal jet at x through the Legendre pairing
-        jet = geometry.Jet2(
-            point=x,
-            value=float(grid.nodes[idx] @ x - u[idx]),
-            gradient=grid.nodes[idx],
-            hessian=np.linalg.inv(h[idx]),
-        )
-        chi_def[i], chi_formula[i] = geometry.obliqueness_chi(jet, nu, grid.body)
+    # primal jets at x through the Legendre pairing: Du = y, D^2u = (D^2u*)^{-1}
+    hess = np.linalg.inv(h[bidx])
+    jets = geometry.Jets(
+        value=(grid.nodes[bidx] * x).sum(axis=1) - u[bidx],
+        gradient=grid.nodes[bidx],
+        hessian=0.5 * (hess + hess.transpose(0, 2, 1)),
+    )
+    chi_def, chi_formula = geometry.obliqueness_chi(jets, nus, grid.body)
     tang = grid.boundary_tangents
     w2 = 1.0 + (grid.nodes[bidx] ** 2).sum(axis=1)
     d_nn = np.einsum("mi,mij,mj->m", tang, h[bidx], tang)

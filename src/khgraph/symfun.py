@@ -61,7 +61,7 @@ def sigma_k(lam: np.ndarray, k: int) -> float:
     return float(sigma_all(lam)[k])
 
 
-def sigma_drop(lam: np.ndarray, j: int) -> np.ndarray:
+def sigma_drop(lam: np.ndarray) -> np.ndarray:
     """e_0..e_{n-1} of lam with entry p removed, for every p (rows)."""
     lam = np.asarray(lam, dtype=float).ravel()
     n = lam.size
@@ -149,7 +149,7 @@ def _spectral_partials(lam: np.ndarray, k: int, mode: str) -> tuple[float, np.nd
     """Operator value and per-eigenvalue partial derivatives d(phi)/d(lambda_p)."""
     n = lam.size
     e = sigma_all(lam)
-    drops = sigma_drop(lam, 0)
+    drops = sigma_drop(lam)
     if mode == "primal":
         sk = e[k]
         if sk <= 0.0:

@@ -3,6 +3,7 @@ import pytest
 
 from khgraph import bodies
 from khgraph.errors import GridConstructionError
+from khgraph.bodies import gauge_map
 from khgraph.grid import _logical_patch, build_grid
 from khgraph.meshfree import jet_weight_rows
 
@@ -315,3 +316,31 @@ class TestBatchedStencils:
         hess = np.stack([np.stack([d["dxx"], d["dxy"]], axis=1),
                          np.stack([d["dxy"], d["dyy"]], axis=1)], axis=1)
         assert np.array_equal(g.hessians(u), hess)
+
+    def test_grid_jet_batch_matches_single_queries(self):
+        g = build_grid(bodies.superellipse((0.5, 0.4), 4.0), 16, 32)
+        x, y = g.nodes[:, 0], g.nodes[:, 1]
+        interp = g.jet_interpolant(np.exp(x - 0.5 * y) + x**4 * y)
+        rng = np.random.default_rng(11)
+        # off-node gauge fractions: ring 1 (the widest inner window), a mid
+        # ring, the one-sided band and slightly outside the boundary ring
+        r = np.concatenate([[0.0], g.radii])
+        bands = {1: (0.3 * r[1], 0.9 * r[1]), 8: (r[7], r[8]), 15: (r[14], r[15]),
+                 16: (1.0, 1.02)}
+        fracs = np.concatenate([rng.uniform(lo, hi, 6) for lo, hi in bands.values()])
+        queries = gauge_map(g.body, fracs, rng.uniform(0, 2 * np.pi, fracs.size))
+        rings, rays = g.locate(queries)
+        assert set(rings.tolist()) == set(bands)
+        assert rings.shape == rays.shape == (fracs.size,)
+        batch = interp.jet(queries)
+        assert batch.value.shape == (fracs.size,)
+        assert batch.hessian.shape == (fracs.size, 2, 2)
+        grid_batch = interp.jet(queries.reshape(4, 6, 2))
+        for i, q in enumerate(queries):
+            assert g.locate(q) == (rings[i], rays[i])
+            one = interp.jet(q)
+            assert one.value.shape == () and one.gradient.shape == (2,)
+            for b, b2, o in zip(batch, grid_batch, one):
+                assert np.array_equal(b[i], o)
+                assert np.array_equal(b2[i // 6, i % 6], o)
+

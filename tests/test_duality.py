@@ -3,7 +3,7 @@ import pytest
 
 from khgraph import duality, geometry
 from khgraph.errors import OutOfImageError
-from khgraph.geometry import Jet2
+from khgraph.geometry import Jet2, Jets
 from khgraph.psi import (
     cap_constant_psi,
     constant_psi,
@@ -191,6 +191,58 @@ class TestLegendre:
                 )
             errs.append(worst)
         assert 3.0 <= errs[0] / errs[1] <= 5.5
+
+
+def hyperboloid_jets(x):
+    """Batched jets of sqrt(1 + |x|^2), whose gradient image is the open unit ball."""
+    w = np.sqrt(1 + (x * x).sum(axis=-1))[..., None]
+    outer = x[..., :, None] * x[..., None, :]
+    return Jets(w[..., 0], x / w, np.eye(2) / w[..., None] - outer / w[..., None] ** 3)
+
+
+class TestInvertGradientMap:
+    def test_batch_matches_one_sample_calls(self):
+        # a cubic-fit grid oracle, as in primal recovery: targets are exact
+        # gradient images of off-node points, seeds the located nodes
+        from khgraph.bodies import gauge_map, superellipse
+        from khgraph.grid import build_grid
+
+        g = build_grid(superellipse((0.42, 0.34), 4.0), 16, 32)
+        y = g.nodes
+        u = RADIUS * np.sqrt(1 + (y * y).sum(axis=1)) + 0.05 * (y**4).sum(axis=1)
+        oracle = g.jet_interpolant(u).jet
+        rng = np.random.default_rng(12)
+        fracs, thetas = rng.uniform(0.2, 1.0, 40), rng.uniform(0, 2 * np.pi, 40)
+        probes = gauge_map(g.body, fracs, thetas)
+        w = np.sqrt(1 + (probes * probes).sum(axis=1))[:, None]
+        targets = RADIUS * probes / w + 0.2 * probes**3
+        rings, rays = g.locate(probes)
+        seeds = y[(rings - 1) * g.n_theta + rays]
+        x, at, iters = duality.invert_gradient_map(oracle, targets, seeds, tol=1e-10)
+        assert x.shape == (40, 2) and at.hessian.shape == (40, 2, 2)
+        assert iters.max() >= 2  # the samples need different numbers of steps
+        assert np.abs(at.gradient - targets).max() <= 1e-8
+        for i in range(40):
+            xi, ai, ii = duality.invert_gradient_map(
+                oracle, targets[i : i + 1], seeds[i : i + 1], tol=1e-10
+            )
+            assert ii[0] == iters[i]
+            np.testing.assert_allclose(xi[0], x[i], rtol=0, atol=1e-14)
+            for b, o in zip(at, ai):
+                np.testing.assert_allclose(o[0], b[i], rtol=1e-14, atol=1e-14)
+
+    def test_out_of_image_target_in_batch_is_named(self):
+        targets = np.array(
+            [[0.1, 0.2], [0.5, -0.3], [2.0, 0.0], [-0.4, 0.1], [0.0, 1.5]]
+        )
+        seeds = np.zeros_like(targets)
+        with pytest.raises(OutOfImageError) as info:
+            duality.invert_gradient_map(hyperboloid_jets, targets, seeds)
+        np.testing.assert_array_equal(info.value.target, targets[2])
+        # the reachable targets alone converge
+        ok = [0, 1, 3]
+        x, at, _ = duality.invert_gradient_map(hyperboloid_jets, targets[ok], seeds[ok])
+        np.testing.assert_allclose(at.gradient, targets[ok], rtol=0, atol=1e-12)
 
 
 class TestDualResidual:

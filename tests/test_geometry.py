@@ -237,6 +237,43 @@ class TestObliqueness:
         with pytest.raises(BoundaryMismatchError):
             geometry.obliqueness_chi(jet, np.array([1.0, 0.0]), target)
 
+    @pytest.mark.parametrize("shape", ["cap", "superellipse"])
+    def test_batch_matches_single_jets(self, shape):
+        rng = np.random.default_rng(13)
+        thetas = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+        if shape == "cap":
+            rho = 0.5
+            target = bodies.ball(rho)
+            xs = target.boundary_param(thetas)
+            jets = [cap_jet(x, np.sqrt(1 + rho**2)) for x in xs]
+            nus = -xs / rho
+        else:
+            target = bodies.superellipse((0.42, 0.34), 4.0)
+            du = target.boundary_param(thetas)
+            jets = [Jet2(np.zeros(2), 0.0, d, random_convex_jet(rng).hessian) for d in du]
+            angles = thetas + np.pi + rng.uniform(-0.5, 0.5, thetas.size)
+            nus = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        batch = geometry.Jets(
+            np.array([j.value for j in jets]),
+            np.stack([j.gradient for j in jets]),
+            np.stack([j.hessian for j in jets]),
+        )
+        chi_def, chi_formula = geometry.obliqueness_chi(batch, nus, target)
+        assert chi_def.shape == chi_formula.shape == (24,)
+        for i, jet in enumerate(jets):
+            one_def, one_formula = geometry.obliqueness_chi(jet, nus[i], target)
+            assert one_def == pytest.approx(chi_def[i], rel=1e-14, abs=1e-15)
+            assert one_formula == pytest.approx(chi_formula[i], rel=1e-14, abs=1e-15)
+        # leading axes broadcast; one point off the boundary fails the batch
+        grid_def, _ = geometry.obliqueness_chi(
+            batch.reshape((4, 6)), nus.reshape(4, 6, 2), target
+        )
+        np.testing.assert_array_equal(grid_def.ravel(), chi_def)
+        off = batch.gradient.copy()
+        off[5] *= 1.01
+        with pytest.raises(BoundaryMismatchError):
+            geometry.obliqueness_chi(batch._replace(gradient=off), nus, target)
+
     def test_formula_identity_off_symmetry(self):
         # chi_def^2 = u^{nu nu} u_{hh} holds for any defining level function
         # as long as the gradient image traces the boundary; build such a jet

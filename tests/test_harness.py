@@ -137,6 +137,31 @@ class TestReports:
         np.testing.assert_array_equal(back["lambda_max"], radii[:, 1])
 
 
+    def test_grid_csv_matches_per_value_writer(self, tmp_path):
+        # the reference is the per-value writer the template replaced
+        def reference(path, nodes, u_star, gradients, radii):
+            with open(path, "w") as fh:
+                fh.write(",".join(report.CSV_COLUMNS) + "\n")
+                for i in range(nodes.shape[0]):
+                    row = (nodes[i, 0], nodes[i, 1], u_star[i], gradients[i, 0],
+                           gradients[i, 1], radii[i, 0], radii[i, -1])
+                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+        from khgraph.grid import build_grid
+        from khgraph.registry import cap_dual_exact
+
+        grid = build_grid(bodies.ball(0.5), 16, 32)
+        problem = solver.DualProblem(grid, bodies.ball(0.5), 1, cap_constant_psi(0.5, 1))
+        u = cap_dual_exact(grid.nodes, 0.5) + 0.1 * grid.nodes[:, 0] ** 3
+        du = grid.gradient(u)
+        radii = np.sort(np.linalg.eigvalsh(problem.argument_matrices(u)), axis=1)
+        du[3, 1] = -0.0
+        args = (grid.nodes, u, du, radii)
+        report.write_grid_csv(tmp_path / "new.csv", *args)
+        reference(tmp_path / "old.csv", *args)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestCli:
     def test_solve_success_exit_zero(self, tmp_path, capsys):
         cfg = dict(MINIMAL, grid=[12, 24], continuation=[0.4, 0.2])

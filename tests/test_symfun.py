@@ -112,7 +112,7 @@ def test_newton_transform_matches_spectral_gradient():
         lam, vec = symfun.jacobi_eigh(a)
         # spectral route for sigma_k (not the 1/k power); slightly less
         # accurate than the matrix polynomial when the spectrum clusters
-        drops = symfun.sigma_drop(lam, 0)
+        drops = symfun.sigma_drop(lam)
         spectral = (vec * drops[:, k - 1]) @ vec.T
         scale = max(1.0, float(np.abs(spectral).max()))
         np.testing.assert_allclose(

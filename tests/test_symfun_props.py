@@ -32,7 +32,7 @@ def spectrum_and_order(draw, elements=POSITIVE):
 @SETTINGS
 @given(spectra(SIGNED))
 def test_sigma_drop_rows_are_sigma_all_of_the_rest(lam):
-    drops = symfun.sigma_drop(lam, 0)
+    drops = symfun.sigma_drop(lam)
     full = symfun.sigma_all(lam)
     scale = symfun.sigma_all(np.abs(lam))
     for p in range(lam.size):
