@@ -4,7 +4,7 @@ Subcommands:
     solve  --config <path> --out <dir>      run the continuation solver
     verify --suite <name> [--seed N]        run an invariant suite
     field  --y0 a,b --xi a,b --body <spec>  dump a rotation field as CSV
-           --out <csv> [--t-max T] [--t-samples N]
+           [--out <csv>] [--t-samples N]
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 internal invariant violation.
@@ -136,8 +136,6 @@ def main(argv=None) -> int:
         description="Prescribed k-Hessian curvature graphs with gradient-image "
         "boundary data: dual solver and verification kernels.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the continuation solver")
@@ -154,7 +152,8 @@ def main(argv=None) -> int:
         default="all",
         choices=["identities", "duality", "rotations", "all"],
     )
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized sweeps")
 
     p_field = sub.add_parser("field", help="dump a rotation field")
     p_field.add_argument("--y0", required=True, help="anchor, e.g. '0.5,0'")
@@ -165,8 +164,6 @@ def main(argv=None) -> int:
     p_field.add_argument("--t-samples", type=int, default=33)
 
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = parser.get_default("seed")
     if args.command == "solve":
         return cmd_solve(args)
     if args.command == "verify":

@@ -53,10 +53,20 @@ def wstar(y) -> np.ndarray:
 
 
 def bstar(y: np.ndarray) -> np.ndarray:
-    """b*_ij = delta_ij + y_i y_j/(1 + w_star), square root of I + y y^T."""
-    y = np.asarray(y, dtype=float).ravel()
-    w = float(np.sqrt(1.0 + y @ y))
-    return np.eye(y.size) + np.outer(y, y) / (1.0 + w)
+    """b*_ij = delta_ij + y_i y_j/(1 + w_star), square root of I + y y^T.
+
+    Broadcasts over leading axes: y (..., n) gives (..., n, n).
+    """
+    y = np.asarray(y, dtype=float)
+    outer = y[..., :, None] * y[..., None, :]
+    return np.eye(y.shape[-1]) + outer / (1.0 + wstar(y))[..., None, None]
+
+
+def argument_matrix(y, hessian) -> np.ndarray:
+    """The dual argument matrix w* b* H b*, symmetrised; y (..., n), H (..., n, n)."""
+    b = bstar(y)
+    a = wstar(y)[..., None, None] * (b @ hessian @ b)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def bstar_inv(y: np.ndarray) -> np.ndarray:
@@ -91,31 +101,16 @@ def christoffel(y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DualChartPack:
-    """Chart-side quantities of a dual jet: the argument matrix of F* and its spectrum."""
+    """The argument matrix of F* at a dual jet and its spectrum."""
 
-    y: np.ndarray
-    w_star: float
-    b_star: np.ndarray
-    g_y: np.ndarray
     dual_matrix: np.ndarray
     radii: np.ndarray  # ascending; curvature radii when the jet is a Legendre dual
 
 
 def dual_chart_pack(jet_star: Jet2) -> DualChartPack:
-    y = jet_star.point
-    w = float(wstar(y))
-    b = bstar(y)
-    dual = w * (b @ jet_star.hessian @ b)
-    dual = 0.5 * (dual + dual.T)
+    dual = argument_matrix(jet_star.point, jet_star.hessian)
     radii, _ = symfun.jacobi_eigh(dual)
-    return DualChartPack(
-        y=y,
-        w_star=w,
-        b_star=b,
-        g_y=np.eye(y.size) + np.outer(y, y),
-        dual_matrix=dual,
-        radii=radii,
-    )
+    return DualChartPack(dual_matrix=dual, radii=radii)
 
 
 def gauss_image(jet: Jet2) -> np.ndarray:
@@ -140,8 +135,7 @@ def spherical_hessian(v_chart: Jet2) -> SupportData:
     y = v_chart.point
     w = float(wstar(y))
     b = bstar(y)
-    lam = w * (b @ v_chart.hessian @ b)
-    lam = 0.5 * (lam + lam.T)
+    lam = argument_matrix(y, v_chart.hessian)
     v = v_chart.value / w
     # d_k (V/w*) = V_k / w* - V y_k / w*^3, then rotate into the frame.
     dv_chart = v_chart.gradient / w - v_chart.value * y / w**3

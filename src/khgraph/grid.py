@@ -9,11 +9,11 @@ boundary exactly.  Each node carries derivative stencils from a weighted
 local cubic least-squares fit over a logical patch of 5 rings (clipped at
 the center, one-sided over 8 rings at the boundary) and at least 5
 consecutive rays; near the center the patch takes as many rays as it needs
-to span about one ring gap across the rays, up to whole rings (see
-_logical_patch).  That makes first and second derivatives exact on cubics
-and second-order accurate on smooth functions on every ring.  All windows
-of a ring have one shape, so the stencils are built one ring at a time,
-each ring's fits in one batched jet_weight_rows call.
+to span about one ring gap across the rays (see _logical_patch).  That
+makes first and second derivatives exact on cubics and second-order
+accurate on smooth functions on every ring.  All windows of a ring have one
+shape, so the stencils are built one ring at a time, each ring's fits in
+one batched jet_weight_rows call.
 """
 
 from __future__ import annotations
@@ -205,15 +205,17 @@ def _logical_patch(j: int, i, n_r: int, n_theta: int, radii: np.ndarray):
     widen to 8 rings so the second-difference weight norms stay small
     enough for float64 exactness on quadratics.  The window takes 2k+1
     consecutive rays, k = max(2, ceil(dr_j / (r_j dtheta))): the fewest rays
-    whose arc on ring j spans one ring gap dr_j, or whole rings once 2k+1
-    reaches N_theta.  Near the center the window's shape in units of the
-    ring gap then stays about the same under refinement.  A fixed ray count
-    makes the inner windows wedges ever thinner for their length (width/length
-    ~ j/N_r); their cross-ray weights grow faster than 1/h^2, which costs the
-    inner rings their order and lifts the residual's rounding floor there.
-    Rays are always consecutive: skipping rays to make patches isotropic
-    would alias short azimuthal modes out of the rows and leave the
-    assembled Jacobian with near-null oscillatory directions.
+    whose arc on ring j spans one ring gap dr_j.  That is at most
+    ceil(N_theta / 2 pi) (ring 1, where dr_1 = r_1; further out the gap is
+    smaller than the radius), so 2k+1 < N_theta for N_theta >= 16.  Near
+    the center the window's shape in units of the ring gap then stays about
+    the same under refinement.  A fixed ray count makes the inner windows
+    wedges ever thinner for their length (width/length ~ j/N_r); their
+    cross-ray weights grow faster than 1/h^2, which costs the inner rings
+    their order and lifts the residual's rounding floor there.  Rays are
+    always consecutive: skipping rays to make patches isotropic would
+    alias short azimuthal modes out of the rows and leave the assembled
+    Jacobian with near-null oscillatory directions.
     """
     half = STENCIL_RINGS // 2
     if j + half > n_r:
@@ -224,12 +226,9 @@ def _logical_patch(j: int, i, n_r: int, n_theta: int, radii: np.ndarray):
     arc = 2.0 * np.pi * radii[j - 1] / n_theta
     k = max(STENCIL_RAYS // 2, int(np.ceil(gap / arc)))
     i = np.asarray(i)
-    if 2 * k + 1 >= n_theta:
-        rays = np.broadcast_to(np.arange(n_theta), i.shape + (n_theta,))
-    else:
-        # ascending ray order within each ring keeps the fit's summation
-        # order, and with it the weights to the last bit
-        rays = np.sort((i[..., None] + np.arange(-k, k + 1)) % n_theta, axis=-1)
+    # ascending ray order within each ring keeps the fit's summation order,
+    # and with it the weights to the last bit
+    rays = np.sort((i[..., None] + np.arange(-k, k + 1)) % n_theta, axis=-1)
     ring_starts = (np.arange(j_lo, j_hi + 1) - 1) * n_theta
     return (ring_starts[:, None] + rays[..., None, :]).reshape(i.shape + (-1,))
 

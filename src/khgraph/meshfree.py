@@ -163,10 +163,37 @@ def patch_jets(rows, f: np.ndarray) -> Jets:
     return Jets(value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
 
 
+def central_difference_jet(f, point, h: float) -> Jet2:
+    """Jet of a scalar f at point by central differences of step h.
+
+    Four-point cross differences off the diagonal; exact to rounding on
+    quadratics, O(h^2) on smooth f.  f is asked at the point first.
+    """
+    point = np.asarray(point, dtype=float).ravel()
+    n = point.size
+    e = h * np.eye(n)
+    f0 = f(point)
+    grad = np.zeros(n)
+    hess = np.zeros((n, n))
+    for i in range(n):
+        fp, fm = f(point + e[i]), f(point - e[i])
+        grad[i] = (fp - fm) / (2 * h)
+        hess[i, i] = (fp - 2 * f0 + fm) / h**2
+    for i in range(n):
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                f(point + e[i] + e[j])
+                - f(point + e[i] - e[j])
+                - f(point - e[i] + e[j])
+                + f(point - e[i] - e[j])
+            ) / (4 * h**2)
+    return Jet2(point, f0, grad, hess)
+
+
 class JetInterpolant:
     """Scattered-data jets: value/gradient/Hessian estimates at query points."""
 
-    def __init__(self, points, values, degree: int = 3, n_neighbors: int | None = None):
+    def __init__(self, points, values, degree: int = 3):
         self.points = np.asarray(points, dtype=float)
         self.values = np.asarray(values, dtype=float).ravel()
         if self.points.shape[0] != self.values.size:
@@ -174,9 +201,7 @@ class JetInterpolant:
         self.dim = self.points.shape[1]
         self.degree = degree
         n_basis = monomial_exponents(self.dim, degree).shape[0]
-        self.n_neighbors = n_neighbors or min(
-            self.points.shape[0], max(2 * n_basis, n_basis + 6)
-        )
+        self.n_neighbors = min(self.points.shape[0], max(2 * n_basis, n_basis + 6))
         self.tree = cKDTree(self.points)
 
     def jet(self, query: np.ndarray) -> Jets:

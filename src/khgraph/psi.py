@@ -30,8 +30,7 @@ class PsiSpec:
     evaluate(z, p) must be positive on its declared domain.  partial_z and
     partial_p may be None for report-only uses; operations that need them
     raise CapabilityError.  monotone_flag asserts psi_z <= 0 (the structural
-    condition making the dual problem monotone); decay_flag asserts the
-    z -> +-inf limits of the continuation family.
+    condition making the dual problem monotone).
     """
 
     kind: str
@@ -39,7 +38,6 @@ class PsiSpec:
     partial_z: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     partial_p: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     monotone_flag: bool = False
-    decay_flag: bool = False
 
     def __call__(self, z, p):
         return self.evaluate(z, p)
@@ -67,7 +65,7 @@ def constant_psi(value: float) -> PsiSpec:
         p = np.asarray(p, dtype=float)
         return np.zeros(p.shape)
 
-    return PsiSpec("constant", ev, dz, dp, monotone_flag=True, decay_flag=False)
+    return PsiSpec("constant", ev, dz, dp, monotone_flag=True)
 
 
 def normal_poly_psi(const: float, linear=None, quadratic=None) -> PsiSpec:
@@ -109,7 +107,7 @@ def normal_poly_psi(const: float, linear=None, quadratic=None) -> PsiSpec:
             out = out + 2.0 * (p @ b)
         return out
 
-    return PsiSpec("normal-only", ev, dz, dp, monotone_flag=True, decay_flag=False)
+    return PsiSpec("normal-only", ev, dz, dp, monotone_flag=True)
 
 
 def exponential_psi(eps: float, base: PsiSpec) -> PsiSpec:
@@ -144,14 +142,7 @@ def exponential_psi(eps: float, base: PsiSpec) -> PsiSpec:
         out[..., -1] += f * base.evaluate(z, p) * e * z / p[..., -1] ** 2
         return out
 
-    return PsiSpec(
-        "exponential",
-        ev,
-        dz,
-        dp,
-        monotone_flag=e >= 0.0,
-        decay_flag=e > 0.0,
-    )
+    return PsiSpec("exponential", ev, dz, dp, monotone_flag=e >= 0.0)
 
 
 def cap_constant_psi(rho: float, k: int, n: int = 2) -> PsiSpec:
@@ -196,4 +187,4 @@ def cap_manufactured_psi(rho: float, k: int, eps: float, n: int = 2) -> PsiSpec:
         out[..., -1] = -c0 * np.exp(e * r / p[..., -1]) * e * r / p[..., -1] ** 2
         return out
 
-    return PsiSpec("normal-only", ev, dz, dp, monotone_flag=True, decay_flag=False)
+    return PsiSpec("normal-only", ev, dz, dp, monotone_flag=True)

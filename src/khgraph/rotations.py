@@ -25,6 +25,17 @@ frame).  The plain Euclidean square of T satisfies no such identity; the
 chart quadratic form above is the sphere metric scaled by 1 + |y|^2, and the
 finite-difference flow oracle in the tests pins T itself, so nothing here
 depends on the choice of norm.
+
+The rotation-differentiated dual equation: differentiating
+F*(w* b* D^2u* b*) = psi*(y, u*) along T gives, for phi = w* T(u*/w*)
+(rotated_support),
+
+    F*^ij (w* b* D^2 phi b*)_ij = T psi*_y + psi*_z T u*,
+
+whose gap equation_defect measures at one point.  The two checks of it
+differ only in how they get D^2 phi: differentiated_equation_check by
+central differences over a jet oracle, solver.differentiated_equation_defect
+by the grid stencils.
 """
 
 from __future__ import annotations
@@ -33,9 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import chart_metric_inv, unproject
+from . import symfun
+from .duality import argument_matrix, chart_metric_inv, psi_conversions, unproject, wstar
 from .errors import HemisphereExitError, PreconditionError
 from .geometry import Jet2
+from .meshfree import central_difference_jet
+
+T_CAP = 0.5  # largest flow time a field is fitted to
 
 
 @dataclass
@@ -88,7 +103,7 @@ def _complete_frame(x0: np.ndarray, e1: np.ndarray) -> np.ndarray:
     return frame
 
 
-def make_field(y0, xi, body, t_cap: float = 0.5) -> RotationField:
+def make_field(y0, xi, body) -> RotationField:
     """Construct the rotation field anchored at y0 with tangent xi on the body.
 
     Preconditions: y0 on the boundary (|h| <= 1e-10), xi unit and tangent
@@ -106,7 +121,7 @@ def make_field(y0, xi, body, t_cap: float = 0.5) -> RotationField:
         # degenerate probe: zero field, identity flow
         frame = _complete_frame(x0, _any_orthonormal(x0))
         return RotationField(y0=y0, xi=xi, x0=x0, frame=frame, speed=0.0,
-                             t_max=t_cap)
+                             t_max=T_CAP)
 
     # written as "not <=" so that a NaN anchor or tangent fails them too
     level = abs(float(body.h(y0)))
@@ -126,8 +141,8 @@ def make_field(y0, xi, body, t_cap: float = 0.5) -> RotationField:
     e1 = d / dn
     frame = _complete_frame(x0, e1)
     field = RotationField(y0=y0, xi=xi, x0=x0, frame=frame, speed=speed,
-                          t_max=t_cap)
-    field.t_max = _fit_t_max(field, body, t_cap)
+                          t_max=T_CAP)
+    field.t_max = _fit_t_max(field, body)
     return field
 
 
@@ -139,8 +154,8 @@ def _any_orthonormal(x0: np.ndarray) -> np.ndarray:
     return cand / np.linalg.norm(cand)
 
 
-def _fit_t_max(field: RotationField, body, t_cap: float) -> float:
-    """Largest t <= t_cap keeping the rotated hemisphere height >= 0.1 on probes."""
+def _fit_t_max(field: RotationField, body) -> float:
+    """Largest t <= T_CAP keeping the rotated hemisphere height >= 0.1 on probes."""
     probes = np.atleast_2d(body.sample_boundary(64))
     probes = np.vstack([probes, np.asarray(body.interior_point, dtype=float)])
     xs = unproject(probes)
@@ -148,9 +163,9 @@ def _fit_t_max(field: RotationField, body, t_cap: float) -> float:
     def min_height(t):
         return _rotate(field, t, xs)[:, -1].min()
 
-    if min_height(t_cap) >= 0.1:
-        return t_cap
-    lo, hi = 0.0, t_cap
+    if min_height(T_CAP) >= 0.1:
+        return T_CAP
+    lo, hi = 0.0, T_CAP
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if min_height(mid) >= 0.1:
@@ -259,6 +274,34 @@ def derivative_along(field: RotationField, jets, y: np.ndarray):
     return tu, ttu, d_tt_u
 
 
+def rotated_support(field: RotationField, y, u, du) -> np.ndarray:
+    """phi = w* T(u*/w*) at points y (..., n), from u* (...) and Du* (..., n) there."""
+    y = np.asarray(y, dtype=float)
+    w = wstar(y)
+    dv = du / w[..., None] - (u / w**3)[..., None] * y
+    return w * (field_eval(field, y) * dv).sum(axis=-1)
+
+
+def equation_defect(
+    field: RotationField, jet: Jet2, hess_phi: np.ndarray, star, k: int
+) -> float:
+    """Gap of the rotation-differentiated dual equation at jet.point.
+
+    jet is the 2-jet of u* at one point, hess_phi the Hessian of
+    phi = rotated_support(...) there and star the dual right-hand side.
+    """
+    y = jet.point
+    op = symfun.eval_operator(
+        symfun.SpectrumRequest(argument_matrix(y, jet.hessian), k, "dual")
+    )
+    lhs = float(np.sum(op.gradient * argument_matrix(y, hess_phi)))
+    tvec = field_eval(field, y)
+    rhs = float(tvec @ star.partial_y(y, jet.value)) + float(
+        star.partial_z(y, jet.value)
+    ) * float(tvec @ jet.gradient)
+    return abs(lhs - rhs)
+
+
 def differentiated_equation_check(
     field: RotationField,
     jets,
@@ -270,75 +313,23 @@ def differentiated_equation_check(
 ) -> float:
     """Defect of the rotation-differentiated dual equation at an interior point.
 
-    The solved dual state enters through `jets` (y -> Jet2 of u*).  The check
-    contracts F*^{ij} w* b* (D^2 phi) b* against the finite-difference Hessian
-    of phi = w* T(u*/w*) and compares with T psi* + psi*_z T u*; on an exact
-    solution the defect is O(h^2) plus the solve tolerance.
+    The solved dual state enters through `jets` (y -> Jet2 of u*); D^2 phi is
+    the central-difference Hessian of rotated_support, so on an exact
+    solution the defect is O(h^2) plus the solve tolerance.  psi is a primal
+    PsiSpec (converted here) or a ready dual-side object exposing
+    partial_y/partial_z.  With a body, every difference probe is checked to
+    lie in it before the jets are asked there (PreconditionError if not).
     """
-    from . import duality, symfun
-
-    point = np.asarray(point, dtype=float).ravel()
-    n = point.size
-
     def phi(yq: np.ndarray) -> float:
+        if body is not None:
+            level = float(body.h(yq))
+            if level < 0.0:
+                raise PreconditionError(
+                    "finite-difference probe leaves the domain", -level, 0.0
+                )
         jet = jets(yq)
-        w = float(np.sqrt(1.0 + yq @ yq))
-        tvec = field_eval(field, yq)
-        dv = jet.gradient / w - jet.value * yq / w**3
-        return w * float(tvec @ dv)
+        return float(rotated_support(field, yq, jet.value, jet.gradient))
 
-    # interior check: all FD probes must stay inside the domain
-    if body is not None:
-        offsets = [np.zeros(n)]
-        for i in range(n):
-            for sgn in (-1.0, 1.0):
-                offsets.append(sgn * h * np.eye(n)[i])
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (-1.0, 1.0):
-                    for sj in (-1.0, 1.0):
-                        offsets.append(h * (si * np.eye(n)[i] + sj * np.eye(n)[j]))
-        levels = body.h(point + np.array(offsets))
-        outside = levels < 0.0
-        if outside.any():
-            raise PreconditionError(
-                "finite-difference probe leaves the domain",
-                -float(levels[outside][0]),
-                0.0,
-            )
-
-    hess_phi = np.empty((n, n))
-    phi0 = phi(point)
-    for i in range(n):
-        ei = np.eye(n)[i]
-        hess_phi[i, i] = (phi(point + h * ei) - 2.0 * phi0 + phi(point - h * ei)) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = np.eye(n)[i], np.eye(n)[j]
-            val = (
-                phi(point + h * (ei + ej))
-                - phi(point + h * (ei - ej))
-                - phi(point - h * (ei - ej))
-                + phi(point - h * (ei + ej))
-            ) / (4.0 * h**2)
-            hess_phi[i, j] = hess_phi[j, i] = val
-
-    jet = jets(point)
-    w = float(np.sqrt(1.0 + point @ point))
-    b = duality.bstar(point)
-    amat = w * (b @ jet.hessian @ b)
-    amat = 0.5 * (amat + amat.T)
-    op = symfun.eval_operator(symfun.SpectrumRequest(amat, k, "dual"))
-    lhs = float(np.sum(op.gradient * (w * (b @ hess_phi @ b))))
-
-    # accept either a primal PsiSpec (converted here) or a ready dual-side
-    # object exposing evaluate/partial_z/partial_y
-    if hasattr(psi, "partial_y"):
-        star = psi
-    else:
-        _, star = duality.psi_conversions(psi)
-    tvec = field_eval(field, point)
-    tpsi = float(tvec @ star.partial_y(point, jet.value))
-    tu = float(tvec @ jet.gradient)
-    rhs = tpsi + float(star.partial_z(point, jet.value)) * tu
-    return abs(lhs - rhs)
+    phi_jet = central_difference_jet(phi, point, h)
+    star = psi if hasattr(psi, "partial_y") else psi_conversions(psi)[1]
+    return equation_defect(field, jets(phi_jet.point), phi_jet.hessian, star, k)

@@ -12,7 +12,7 @@ rather than LAPACK so that the test suite can cross-check the two routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -71,22 +71,22 @@ def sigma_drop(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
+def jacobi_eigh(a: np.ndarray):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, orthogonal matrix V with columns matching).
-    Iterates full sweeps until the off-diagonal Frobenius norm drops below
-    tol * ||A||_F.
+    Iterates full sweeps, at most 60, until the off-diagonal Frobenius norm
+    drops below 1e-13 * ||A||_F.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
     v = np.eye(n)
     a = a.copy()
     norm = max(np.linalg.norm(a), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(60):
         # summed directly: ||A||^2 - ||diag A||^2 cancels below sqrt(eps) ||A||
         off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * norm:
+        if off <= 1e-13 * norm:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -254,10 +254,6 @@ class ConeReport:
     lambda_min: float
     strictly_convex: bool  # lambda_min > 0
     on_boundary: bool  # some lambda_i == 0 within tolerance, none negative
-    inside: bool = field(init=False)
-
-    def __post_init__(self):
-        self.inside = self.strictly_convex
 
 
 def cone_check(lam: np.ndarray, tol: float = 1e-12) -> ConeReport:

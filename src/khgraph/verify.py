@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bodies, duality, geometry, rotations, symfun
 from .geometry import Jet2
+from .meshfree import central_difference_jet
 from .psi import constant_psi
 
 
@@ -241,67 +242,25 @@ def check_frame_identity(seed):
     def vfun(y):
         return 0.7 * np.sqrt(1 + y @ y) + 0.3 * np.sin(y[0]) * np.cos(0.7 * y[1])
 
-    def ratios(y0):
-        out = []
-        for h in (2e-3, 1e-3):
-            n = y0.size
-            # chart jet of V by finite differences
-            grad = np.zeros(n)
-            hess = np.zeros((n, n))
-            v0 = vfun(y0)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                grad[i] = (vfun(y0 + e) - vfun(y0 - e)) / (2 * h)
-                hess[i, i] = (vfun(y0 + e) - 2 * v0 + vfun(y0 - e)) / h**2
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ei, ej = np.zeros(n), np.zeros(n)
-                    ei[i] = h
-                    ej[j] = h
-                    hess[i, j] = hess[j, i] = (
-                        vfun(y0 + ei + ej)
-                        - vfun(y0 + ei - ej)
-                        - vfun(y0 - ei + ej)
-                        + vfun(y0 - ei - ej)
-                    ) / (4 * h**2)
-            jet = Jet2(y0, v0, grad, hess)
-            lam_matrix = duality.spherical_hessian(jet).lambda_matrix
-            # oracle: covariant derivatives in the chart with the derived
-            # Christoffel symbols, then frame rotation
-            w = np.sqrt(1 + y0 @ y0)
-            gam = duality.christoffel(y0)
+    def vt(y):
+        return vfun(y) / np.sqrt(1 + y @ y)
 
-            def vt(y):
-                return vfun(y) / np.sqrt(1 + y @ y)
-
-            gradt = np.zeros(n)
-            hesst = np.zeros((n, n))
-            vt0 = vt(y0)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                gradt[i] = (vt(y0 + e) - vt(y0 - e)) / (2 * h)
-                hesst[i, i] = (vt(y0 + e) - 2 * vt0 + vt(y0 - e)) / h**2
-            for i in range(n):
-                for j in range(i + 1, n):
-                    ei, ej = np.zeros(n), np.zeros(n)
-                    ei[i] = h
-                    ej[j] = h
-                    hesst[i, j] = hesst[j, i] = (
-                        vt(y0 + ei + ej)
-                        - vt(y0 + ei - ej)
-                        - vt(y0 - ei + ej)
-                        + vt(y0 - ei - ej)
-                    ) / (4 * h**2)
-            cov = hesst - np.einsum("kij,k->ij", gam, gradt)
-            b = duality.bstar(y0)
-            oracle = w**2 * (b @ cov @ b) + vt0 * np.eye(n)
-            out.append(np.abs(lam_matrix - oracle).max())
-        return out
+    def error(y0, h):
+        lam_matrix = duality.spherical_hessian(
+            central_difference_jet(vfun, y0, h)
+        ).lambda_matrix
+        # oracle: covariant derivatives in the chart with the derived
+        # Christoffel symbols, then frame rotation
+        w = np.sqrt(1 + y0 @ y0)
+        gam = duality.christoffel(y0)
+        jet_t = central_difference_jet(vt, y0, h)
+        cov = jet_t.hessian - np.einsum("kij,k->ij", gam, jet_t.gradient)
+        b = duality.bstar(y0)
+        oracle = w**2 * (b @ cov @ b) + jet_t.value * np.eye(y0.size)
+        return np.abs(lam_matrix - oracle).max()
 
     y0 = rng.normal(size=2) * 0.5
-    e_h, e_h2 = ratios(y0)
+    e_h, e_h2 = error(y0, 2e-3), error(y0, 1e-3)
     ratio = e_h / max(e_h2, 1e-300)
     return 3.0 <= ratio <= 5.5, f"O(h^2) ratio {ratio:.2f}"
 

@@ -28,21 +28,24 @@ def boundary_frame(body, theta):
 
 
 def boundary_graph(body, x0, tau, nu, t):
-    """Height rho(t) of the boundary over the tangent line (inward positive)."""
+    """Height rho(t) of the boundary over the tangent line (inward positive).
+
+    Broadcasts over t: every height is bisected at once, each with the
+    steps it would take alone.
+    """
+    t = np.asarray(t, dtype=float)
     lo, hi = -0.5, 0.5
-    f = lambda s: body.h(x0 + t * tau + s * nu)  # noqa: E731
+    f = lambda s: body.h(x0 + t[..., None] * tau + s[..., None] * nu)  # noqa: E731
     # boundary passes between the tangent line exterior and deep interior
-    a, b = 0.0, hi
-    if f(a) > 0:
-        a, b = lo, 0.0
+    outside = f(np.zeros_like(t)) > 0
+    a = np.where(outside, lo, 0.0)
+    b = np.where(outside, 0.0, hi)
     for _ in range(80):
         mid = 0.5 * (a + b)
-        if f(mid) > 0:
-            b = mid
-        else:
-            a = mid
-    while f(b) < 0:
-        b = 0.5 * (a + b)
+        above = f(mid) > 0
+        a, b = np.where(above, a, mid), np.where(above, mid, b)
+    while (below := f(b) < 0).any():
+        b = np.where(below, 0.5 * (a + b), b)
     return 0.5 * (a + b)
 
 
@@ -61,13 +64,15 @@ def test_barrier_positive_on_collar_boundary(body, theta):
     big_k = 1.0
     r = 0.04
 
+    ts = np.linspace(-r, r, 41)  # holds +-r, the side walls' t
+    heights = dict(zip(ts.tolist(), boundary_graph(body, x0, tau, nu, ts)))
+
     def rho(t):
-        return boundary_graph(body, x0, tau, nu, t)
+        return heights[float(t)]
 
     def phi(t, s):
         return -rho(t) + s + delta * t * t - big_k * s * s
 
-    ts = np.linspace(-r, r, 41)
     # piece 1: along the boundary graph itself
     for t in ts:
         assert phi(t, rho(t)) >= 0.5 * delta * t * t - 1e-12

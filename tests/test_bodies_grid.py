@@ -5,7 +5,7 @@ from khgraph import bodies
 from khgraph.errors import GridConstructionError
 from khgraph.bodies import gauge_map
 from khgraph.grid import _logical_patch, build_grid
-from khgraph.meshfree import jet_weight_rows
+from khgraph.meshfree import central_difference_jet, jet_weight_rows
 
 
 BODIES = {
@@ -344,3 +344,33 @@ class TestBatchedStencils:
                 assert np.array_equal(b[i], o)
                 assert np.array_equal(b2[i // 6, i % 6], o)
 
+
+class TestCentralDifferenceJet:
+    def test_exact_on_quadratics(self):
+        rng = np.random.default_rng(15)
+        m = rng.normal(size=(3, 3))
+        a, g = m + m.T, rng.normal(size=3)
+        p = rng.normal(size=3) * 0.3
+        jet = central_difference_jet(lambda y: 0.4 + g @ y + 0.5 * y @ a @ y, p, 2.0**-6)
+        assert jet.value == pytest.approx(0.4 + g @ p + 0.5 * p @ a @ p, abs=1e-15)
+        np.testing.assert_allclose(jet.gradient, g + a @ p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jet.hessian, a, rtol=0, atol=1e-10)
+
+    def test_second_order_on_smooth_function(self):
+        def f(y):
+            return np.exp(0.3 * y[0] - 0.5 * y[1]) + np.sin(y[0] * y[1])
+
+        p = np.array([0.4, -0.3])
+        x, y = p
+        e = np.exp(0.3 * x - 0.5 * y)
+        c, s = np.cos(x * y), np.sin(x * y)
+        grad = np.array([0.3 * e + y * c, -0.5 * e + x * c])
+        hxy = -0.15 * e + c - x * y * s
+        hess = np.array([[0.09 * e - y * y * s, hxy], [hxy, 0.25 * e - x * x * s]])
+        errs = []
+        for h in (0.02, 0.01):
+            jet = central_difference_jet(f, p, h)
+            errs.append([np.abs(jet.gradient - grad).max(),
+                         np.abs(jet.hessian - hess).max()])
+        ratios = np.divide(*errs)
+        assert ((3.5 <= ratios) & (ratios <= 4.5)).all(), ratios

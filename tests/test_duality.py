@@ -309,6 +309,23 @@ class TestDualResidual:
                 assert abs(primal) <= 1e-12 and abs(dual) <= 1e-12
 
 
+class TestChartMatrices:
+    @pytest.mark.parametrize("shape", [(7, 2), (3, 4, 2)])
+    def test_batch_matches_pointwise(self, shape):
+        rng = np.random.default_rng(13)
+        ys = rng.normal(size=shape) * 0.8
+        m = rng.normal(size=shape + (2,))
+        hs = m @ np.swapaxes(m, -1, -2)
+        b = duality.bstar(ys)
+        a = duality.argument_matrix(ys, hs)
+        assert b.shape == a.shape == shape + (2,)
+        for i in np.ndindex(shape[:-1]):
+            np.testing.assert_allclose(b[i], duality.bstar(ys[i]), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                a[i], duality.argument_matrix(ys[i], hs[i]), rtol=0, atol=1e-15
+            )
+
+
 class TestSphericalHessian:
     def test_sphere_support(self):
         rng = np.random.default_rng(8)

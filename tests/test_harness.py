@@ -299,6 +299,23 @@ class TestCli:
         assert cli.main(["verify", "--suite", "identities", "--seed", "1"]) == 0
         capsys.readouterr()
 
+    def test_verify_seed_reaches_run_verify(self, monkeypatch, capsys):
+        seen = []
+
+        def fake(suite, seed):
+            seen.append(seed)
+            return {"all_passed": True}
+
+        monkeypatch.setattr(cli, "run_verify", fake)
+        assert cli.main(["verify", "--seed", "3"]) == 0
+        assert cli.main(["verify"]) == 0
+        assert seen == [3, 0]
+        # --seed belongs to verify alone; before the subcommand it is unknown
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--seed", "3", "verify"])
+        assert info.value.code == 2
+        capsys.readouterr()
+
 
 class TestVerify:
     def test_duality_suite_passes_fresh(self):

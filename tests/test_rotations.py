@@ -4,6 +4,7 @@ import pytest
 from khgraph import bodies, duality, rotations
 from khgraph.errors import HemisphereExitError, PreconditionError
 from khgraph.geometry import Jet2
+from khgraph.grid import build_grid
 from khgraph.psi import cap_constant_psi
 
 RHO = 0.5
@@ -357,6 +358,16 @@ class TestDifferentiatedEquation:
             fld, jets, ps, 1, np.array([0.12, -0.2]), h=1.0 / 128.0, body=body
         )
         assert defect <= 1e-8
+
+    def test_rotated_support_batch_matches_nodes(self):
+        fld, body = disk_field()
+        y = build_grid(body, 8, 16).nodes
+        rng = np.random.default_rng(14)
+        u, du = rng.normal(size=len(y)), rng.normal(size=y.shape)
+        batch = rotations.rotated_support(fld, y, u, du)
+        assert batch.shape == (len(y),)
+        loop = [rotations.rotated_support(fld, y[i], u[i], du[i]) for i in range(len(y))]
+        np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-15)
 
     def test_zero_field_zero_defect(self):
         _, body = disk_field()
