@@ -157,8 +157,8 @@ class DualPsi:
     def _pieces(self, y, z):
         y = np.atleast_2d(np.asarray(y, dtype=float))
         z = np.asarray(z, dtype=float).reshape(y.shape[0])
-        w = np.sqrt(1.0 + (y * y).sum(axis=1))
-        q = np.concatenate([-y, np.ones((y.shape[0], 1))], axis=1) / w[:, None]
+        w = wstar(y)
+        q = unproject(y)
         v = z / w
         return y, z, w, q, v
 

@@ -120,7 +120,9 @@ class ContinuationError(KHGraphError):
     """A continuation level failed; carries the levels completed so far.
 
     completed_levels holds one record per completed level, in order: a dict
-    with its eps, Newton iterations, final residual and primal mean_u.
+    with its eps, Newton iterations, start and final residuals, primal
+    mean_u, and the fresh factors and GMRES (krylov) iterations of its
+    linear solves.
     """
 
     def __init__(self, message, completed_levels):

@@ -19,10 +19,14 @@ the mean.  That shift is exact, since a constant leaves D^2u* and Du*
 unchanged and scales the exponential term by exp(eps s).
 The grid is planar, so F* is det/tr (k = 1) or sqrt(det) (k = 2) of its
 argument, evaluated in closed form; symfun.eval_operator is its oracle.
-Every Jacobian is written on the grid's shared stencil pattern, so one
-fill-reducing column order (minimum degree on J^T J, SuperLU's MMD_ATA) is
-computed per problem from that pattern, and each Newton step factors the
-column-permuted Jacobian in that order with partial pivoting.
+Newton is inexact: each step only has to meet the forcing term
+|J s + F| <= min(min(0.1, |F|) |F|, tol/100) in the sup norm.  A
+continuation keeps one SuperLU factor (minimum degree on J^T J, SuperLU's
+MMD_ATA, with partial pivoting) across its Newton iterations and eps levels,
+and solves each system by GMRES preconditioned with it.  Only when GMRES
+misses the forcing term within GMRES_MAX_ITER iterations is the current
+Jacobian factored afresh, and its direct solve, the exact Newton step, taken.
+The tol/100 floor keeps the converged answer that of exact Newton to rounding.
 
 The constant reported by the continuation is the one of the un-powered
 equation sigma_k(kappa) = c psi0^k: the recovered primal mean satisfies
@@ -53,6 +57,7 @@ from .psi import PsiSpec, exponential_psi
 
 MAX_NEWTON_ITER = 200
 ARMIJO = 1e-4
+GMRES_MAX_ITER = 10
 
 
 @dataclass
@@ -120,15 +125,6 @@ class DualProblem:
         self.bstar = duality.bstar(grid.nodes)
         self.interior = grid.interior_idx
         self.boundary = grid.boundary_idx
-        # MMD_ATA and SuperLU's postorder depend on the Jacobians' shared
-        # pattern alone, so a diagonally dominant probe on it fixes the order;
-        # the probe is CSR because the same arrays read as CSC are its transpose
-        st = grid.stencils
-        probe = sp.csr_matrix(
-            (np.ones(st.indices.size), st.indices, st.indptr), shape=(grid.n_nodes,) * 2
-        ) + sp.diags(np.diff(st.indptr) + 1.0)
-        lu = spla.splu(probe.tocsc(), permc_spec="MMD_ATA")
-        self.column_order = np.argsort(lu.perm_c)
 
     def dual_psi(self, eps: float) -> duality.DualPsi:
         return duality.DualPsi(exponential_psi(eps, self.psi_base))
@@ -213,7 +209,7 @@ def initial_guess(grid: Grid, omega: ConvexBody) -> np.ndarray:
     """
     stride = max(1, grid.n_theta // 16)
     yb = grid.nodes[grid.boundary_idx[::stride]]
-    wb = np.sqrt(1.0 + (yb * yb).sum(axis=1))
+    wb = duality.wstar(yb)
     # match by gauge angle: boundary point of omega on the same ray
     targets = omega.boundary_param(grid.thetas[::stride])
     design = np.concatenate(
@@ -225,8 +221,7 @@ def initial_guess(grid: Grid, omega: ConvexBody) -> np.ndarray:
     beta = sol[1:3]
     if alpha <= 0.1:
         alpha, beta = 1.0, np.zeros(2)
-    w = np.sqrt(1.0 + (grid.nodes**2).sum(axis=1))
-    return alpha * w + grid.nodes @ beta
+    return alpha * duality.wstar(grid.nodes) + grid.nodes @ beta
 
 
 def spd_repair(problem: DualProblem, u0: np.ndarray, spd_floor: float) -> np.ndarray:
@@ -256,6 +251,82 @@ def spd_repair(problem: DualProblem, u0: np.ndarray, spd_floor: float) -> np.nda
     return (1.0 - hi) * u0 + hi * anchor
 
 
+@dataclass
+class KeptFactor:
+    """The SuperLU factor that Newton systems reuse, with counts of the work done.
+
+    lu is None until the first factor.  factors counts the fresh factors
+    taken and krylov_iterations the GMRES iterations run on kept ones.
+    """
+
+    lu: spla.SuperLU | None = None
+    factors: int = 0
+    krylov_iterations: int = 0
+
+    def refactor(self, jac: sp.csr_matrix) -> None:
+        """Factor jac in minimum-degree order on J^T J, with partial pivoting."""
+        try:
+            self.lu = spla.splu(jac.tocsc(), permc_spec="MMD_ATA")
+        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+            raise SingularJacobianError(0.0) from exc
+        self.factors += 1
+
+
+def gmres(jac: sp.csr_matrix, rhs: np.ndarray, precond, target: float, max_iter: int):
+    """Right-preconditioned GMRES for jac x = rhs from x = 0, without restart.
+
+    precond applies the preconditioner's inverse.  Each iteration forms x
+    and stops once the true residual meets |jac x - rhs|_inf <= target.
+    Returns (x, iterations), with x None when max_iter iterations miss the
+    target (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
+    """
+    beta = np.linalg.norm(rhs)
+    basis = [rhs / beta]
+    dirs = []  # preconditioned basis vectors: x is a combination of them
+    hess = np.zeros((max_iter + 1, max_iter))
+    for j in range(max_iter):
+        dirs.append(precond(basis[j]))
+        w = jac @ dirs[j]
+        for i, v in enumerate(basis):  # modified Gram-Schmidt
+            hess[i, j] = v @ w
+            w -= hess[i, j] * v
+        hess[j + 1, j] = np.linalg.norm(w)
+        if not np.isfinite(hess[j + 1, j]):
+            break
+        e1 = np.zeros(j + 2)
+        e1[0] = beta
+        y = np.linalg.lstsq(hess[: j + 2, : j + 1], e1, rcond=None)[0]
+        x = np.column_stack(dirs) @ y
+        if np.abs(jac @ x - rhs).max() <= target:
+            return x, j + 1
+        if hess[j + 1, j] == 0.0:  # the Krylov space is exhausted
+            break
+        basis.append(w / hess[j + 1, j])
+    return None, j + 1
+
+
+def newton_step(jac: sp.csr_matrix, res: np.ndarray, kept: KeptFactor, target: float):
+    """The Newton step for jac step = -res, from the kept factor if it can.
+
+    GMRES preconditioned by the kept factor gets GMRES_MAX_ITER iterations
+    to meet |jac step + res|_inf <= target, and its step is taken only if it
+    does.  A miss, or no kept factor, refactors at jac and takes the direct
+    solve, the exact Newton step, unchecked: far from the solution the
+    target can sit below the rounding of jac step + res itself (9e-12 for a
+    direct solve at |res| = 1.09 on a 32x64 cap, against 1e-12).
+    """
+    if kept.lu is not None:
+        step, iters = gmres(jac, -res, kept.lu.solve, target, GMRES_MAX_ITER)
+        kept.krylov_iterations += iters
+        if step is not None:
+            return step
+    kept.refactor(jac)
+    step = kept.lu.solve(-res)
+    if not np.all(np.isfinite(step)):
+        raise SingularJacobianError(0.0)
+    return step
+
+
 def newton_solve(
     problem: DualProblem,
     u0: np.ndarray,
@@ -263,34 +334,34 @@ def newton_solve(
     tol: float = NEWTON_TOL,
     max_iter: int = MAX_NEWTON_ITER,
     spd_floor: float = SPD_FLOOR,
+    kept: KeptFactor | None = None,
 ):
-    """Damped Newton with backtracking on the residual sup norm.
+    """Inexact damped Newton with backtracking on the residual sup norm.
 
-    Trial steps that push any node Hessian below the SPD floor are rejected
-    by the line search; cone violations during probing are caught and
-    treated the same way.  An infeasible start is repaired by blending
+    Each Newton system is solved to the forcing term
+    |J s + F|_inf <= min(min(0.1, |F|) |F|, tol/100), all sup norms: eta =
+    min(0.1, |F|) keeps Newton's quadratic convergence (Dembo, Eisenstat &
+    Steihaug, SIAM J. Numer. Anal. 19, 1982) and the tol/100 floor keeps the
+    converged answer that of exact Newton to rounding.  The solve reuses
+    kept's factor (see newton_step); without one, the first iteration
+    factors.  Trial steps that push any node Hessian below the SPD floor are
+    rejected by the line search; cone violations during probing are caught
+    and treated the same way.  An infeasible start is repaired by blending
     toward the convex cap profile (or raises a stall error cleanly).
     Returns (u, iterations, residual_history).
     """
+    kept = KeptFactor() if kept is None else kept
     u = np.asarray(u0, dtype=float).copy()
     if problem.spd_margin(u) < spd_floor:
         u = spd_repair(problem, u, spd_floor)
     res = problem.residual(u, eps)
     rn = float(np.abs(res).max())
     hist = [rn]
-    q = problem.column_order
     for it in range(max_iter):
         if rn <= tol:
             return u, it, hist
-        jac = problem.jacobian(u, eps)
-        step = np.empty_like(res)
-        try:
-            lu = spla.splu(jac[:, q].tocsc(), permc_spec="NATURAL")
-        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
-            raise SingularJacobianError(0.0) from exc
-        step[q] = lu.solve(-res)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobianError(0.0)
+        target = min(min(0.1, rn) * rn, tol / 100.0)
+        step = newton_step(problem.jacobian(u, eps), res, kept, target)
         alpha = 1.0
         while True:
             u_try = u + alpha * step
@@ -355,8 +426,12 @@ def continuation_solve(
     an O(eps) change of shape, which the secant follows.  A first start
     below the SPD floor goes to newton_solve unshifted, to be repaired there.
 
+    One KeptFactor serves every Newton system of every level, so a level
+    factors only when GMRES on the kept factor misses its forcing term.
+
     Each history record holds the level's eps, Newton iterations, start and
-    final residuals and primal mean.  c_estimate extrapolates
+    final residuals, primal mean, and the fresh factors and GMRES iterations
+    its linear solves took.  c_estimate extrapolates
     k * eps * mean(u_eps) linearly in eps to zero from the last two levels;
     mean_u of the final level is recorded in the diagnostics.  A failing
     level raises ContinuationError carrying the history records of the
@@ -368,6 +443,7 @@ def continuation_solve(
     ):
         raise ValueError("eps schedule must be non-empty, strictly decreasing and positive")
     problem = DualProblem(grid, omega, k, psi_base)
+    kept = KeptFactor()
     u = initial_guess(grid, omega)
     history = []
     logc = []
@@ -381,9 +457,10 @@ def continuation_solve(
         # a converged level and an accepted guess both sit above the floor
         if solved or problem.spd_margin(u) >= spd_floor:
             u = u + problem.balancing_shift(u, eps)
+        factors, krylov = kept.factors, kept.krylov_iterations
         try:
             u, iters, hist = newton_solve(
-                problem, u, eps, tol=tol, spd_floor=spd_floor
+                problem, u, eps, tol=tol, spd_floor=spd_floor, kept=kept
             )
         except (NonConvergenceError, LineSearchStallError, SingularJacobianError) as exc:
             raise ContinuationError(
@@ -392,7 +469,9 @@ def continuation_solve(
         solved = solved[-1:] + [(eps, u)]
         mean_u = primal_mean(problem, u)
         history.append({"eps": eps, "iterations": iters, "start_residual": hist[0],
-                        "residual": hist[-1], "mean_u": mean_u})
+                        "residual": hist[-1], "mean_u": mean_u,
+                        "factors": kept.factors - factors,
+                        "krylov_iterations": kept.krylov_iterations - krylov})
         logc.append(k * eps * mean_u)
     if len(logc) >= 2:
         e1, e2 = schedule[-2], schedule[-1]

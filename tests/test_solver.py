@@ -225,22 +225,52 @@ class TestLinearSolve:
         problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
         return grid, problem, solver.initial_guess(grid, omega)
 
-    def test_column_order_is_a_permutation(self, cap32):
-        grid, problem, _ = cap32
-        q = problem.column_order
-        np.testing.assert_array_equal(np.sort(q), np.arange(grid.n_nodes))
-
-    def test_shared_order_matches_fresh_minimum_degree(self, cap32):
-        # the order taken once from the stencil pattern fills exactly as a
-        # fresh MMD_ATA factor of the real Jacobian, and less than COLAMD
+    def test_kept_factor_is_minimum_degree(self, cap32):
+        # newton_solve keeps a minimum-degree (MMD_ATA) factor of the
+        # Jacobian, which fills less than SuperLU's default COLAMD
         _, problem, u = cap32
+        kept = solver.KeptFactor()
+        with pytest.raises(NonConvergenceError):
+            solver.newton_solve(problem, u, 0.4, max_iter=1, kept=kept)
+        assert kept.factors == 1
+        jac = problem.jacobian(u, 0.4).tocsc()
+        fresh = spla.splu(jac, permc_spec="MMD_ATA")
+        np.testing.assert_array_equal(kept.lu.perm_c, fresh.perm_c)
+        assert kept.lu.nnz == fresh.nnz < spla.splu(jac).nnz
+
+    def test_continuation_keeps_its_factor(self, cap32):
+        # GMRES on the kept factor leaves the Newton iterations of every
+        # level as exact Newton had them, with at most two factors in all
+        grid, problem, _ = cap32
+        state = solver.continuation_solve(grid, problem.omega, 1, constant_psi(1.0))
+        assert [h["iterations"] for h in state.history] == [3, 3, 2, 2, 1]
+        assert sum(h["factors"] for h in state.history) <= 2
+        assert all(h["krylov_iterations"] >= h["iterations"] for h in state.history[1:])
+
+    @pytest.mark.parametrize("source, factors", [("eps", 1), ("problem", 2)])
+    def test_stale_factor_step_meets_forcing_term(self, cap32, source, factors):
+        # a factor kept from another eps preconditions GMRES to the forcing
+        # term; one from another problem (an ellipse target's grid) misses
+        # within the cap, and the step comes from a fresh factor instead
+        grid, problem, u = cap32
+        u_sol, _, _ = solver.newton_solve(problem, u, 0.4)
+        x, y = grid.nodes.T
+        u = u_sol + 1e-3 * (x * x - 0.5 * x * y + np.sin(3.0 * y))
+        if source == "eps":
+            stale = problem.jacobian(u, 0.025)
+        else:
+            other_grid = build_grid(bodies.ellipse([0.45, 0.3]), grid.n_r, grid.n_theta)
+            other = solver.DualProblem(other_grid, problem.omega, 1, constant_psi(1.0))
+            stale = other.jacobian(solver.initial_guess(other_grid, problem.omega), 0.4)
+        kept = solver.KeptFactor()
+        kept.refactor(stale)
+        res = problem.residual(u, 0.4)
+        rn = np.abs(res).max()
+        target = min(min(0.1, rn) * rn, NEWTON_TOL / 100)
         jac = problem.jacobian(u, 0.4)
-        q = problem.column_order
-        shared = spla.splu(jac[:, q].tocsc(), permc_spec="NATURAL").nnz
-        fresh = spla.splu(jac.tocsc(), permc_spec="MMD_ATA").nnz
-        colamd = spla.splu(jac.tocsc()).nnz
-        assert shared == fresh
-        assert shared < colamd
+        step = solver.newton_step(jac, res, kept, target)
+        assert np.abs(jac @ step + res).max() <= target
+        assert kept.factors == factors
 
     def test_newton_step_matches_default_factor(self, cap32):
         # one full Newton step from the cap guess, against a default SuperLU
@@ -252,25 +282,52 @@ class TestLinearSolve:
         taken = err.value.iterate - u
         assert np.abs(taken - step).max() <= 1e-10 * np.abs(step).max()
 
+    @staticmethod
+    def zero_row_from(monkeypatch, grid, first):
+        # zero one row of each Jacobian from the first-th call on; the
+        # returned list grows by one entry per call
+        real = solver.DualProblem.jacobian
+        row = grid.flat_index(8, 5)
+        calls = []
+
+        def zero_row(self, u, eps):
+            jac = real(self, u, eps)
+            calls.append(None)
+            if len(calls) >= first:
+                jac.data[jac.indptr[row]:jac.indptr[row + 1]] = 0.0
+            return jac
+
+        monkeypatch.setattr(solver.DualProblem, "jacobian", zero_row)
+        return calls
+
     def test_singular_jacobian_raises_cleanly(self, monkeypatch):
         # an exactly zero row is an exactly zero pivot: a SingularJacobianError
         # at once, and a ContinuationError from the continuation
         grid = build_grid(bodies.ball(RHO), 16, 32)
         omega = bodies.ball(RHO)
-        real = solver.DualProblem.jacobian
-        row = grid.flat_index(8, 5)
-
-        def zero_row(self, u, eps):
-            jac = real(self, u, eps)
-            jac.data[jac.indptr[row]:jac.indptr[row + 1]] = 0.0
-            return jac
-
-        monkeypatch.setattr(solver.DualProblem, "jacobian", zero_row)
+        self.zero_row_from(monkeypatch, grid, 1)
         problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
         with pytest.raises(SingularJacobianError):
             solver.newton_solve(problem, solver.initial_guess(grid, omega), 0.4)
         with pytest.raises(ContinuationError):
             solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
+
+    def test_singular_after_kept_factor_raises(self, monkeypatch):
+        # the row vanishes after the first factor is kept: GMRES cannot meet
+        # the forcing term on that row, so the step is refactored, and the
+        # fresh factor meets the zero pivot
+        grid = build_grid(bodies.ball(RHO), 16, 32)
+        omega = bodies.ball(RHO)
+        calls = self.zero_row_from(monkeypatch, grid, 2)
+        problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
+        with pytest.raises(SingularJacobianError):
+            solver.newton_solve(problem, solver.initial_guess(grid, omega), 0.4)
+        assert len(calls) == 2
+        calls.clear()
+        with pytest.raises(ContinuationError) as err:
+            solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
+        assert len(calls) == 2
+        assert isinstance(err.value.__cause__, SingularJacobianError)
 
 
 class TestContinuation:
