@@ -147,56 +147,46 @@ def spherical_hessian(v_chart: Jet2) -> SupportData:
 class DualPsi:
     """The dual right-hand side psi*(y, z) = 1/psi(z/w*, (-y,1)/w*) with partials.
 
-    Broadcasts over a leading axis of y (m, n) and z (m,).  If the primal psi
-    is nonincreasing in z then psi* is nondecreasing (the monotonicity that
-    makes the dual Newton linearization uniformly invertible).
+    Broadcasts over leading axes: y (..., n) and z (...) give values and
+    z-partials of shape (...) and y-partials of shape (..., n); one point is
+    the 0-d case.  If the primal psi is nonincreasing in z then psi* is
+    nondecreasing (the monotonicity that makes the dual Newton linearization
+    uniformly invertible).
     """
 
     base: PsiSpec
 
     def _pieces(self, y, z):
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        z = np.asarray(z, dtype=float).reshape(y.shape[0])
+        """(w*, q = (-y, 1)/w*, v = z/w*): psi's arguments are (v, q)."""
         w = wstar(y)
-        q = unproject(y)
-        v = z / w
-        return y, z, w, q, v
+        return w, unproject(y), np.asarray(z, dtype=float) / w
 
     def evaluate(self, y, z):
-        y0 = np.asarray(y, dtype=float)
-        scalar = y0.ndim == 1
-        y, z, w, q, v = self._pieces(y0, z)
-        out = 1.0 / self.base.evaluate(v, q)
-        return float(out[0]) if scalar else out
+        _, q, v = self._pieces(y, z)
+        return 1.0 / self.base.evaluate(v, q)
 
     def partial_z(self, y, z):
-        self.base.require_partials()
-        y0 = np.asarray(y, dtype=float)
-        scalar = y0.ndim == 1
-        y, z, w, q, v = self._pieces(y0, z)
+        w, q, v = self._pieces(y, z)
         f = self.base.evaluate(v, q)
-        out = -self.base.partial_z(v, q) / (w * f * f)
-        return float(out[0]) if scalar else out
+        return -self.base.partial_z(v, q) / (w * f * f)
 
     def partial_y(self, y, z):
-        self.base.require_partials()
-        y0 = np.asarray(y, dtype=float)
-        scalar = y0.ndim == 1
-        y, z, w, q, v = self._pieces(y0, z)
-        n = y.shape[1]
+        y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
+        w, q, v = self._pieces(y, z)
+        n = y.shape[-1]
         f = self.base.evaluate(v, q)
         fz = self.base.partial_z(v, q)
         fp = self.base.partial_p(v, q)
+        w3 = w[..., None] ** 3
         # dv/dy_m = -z y_m / w^3 ; dq_i/dy_m = -delta_im/w + y_i y_m/w^3 ;
         # dq_{n+1}/dy_m = -y_m / w^3
-        dv = -z[:, None] * y / w[:, None] ** 3
-        term = fz[:, None] * dv
-        term += -fp[:, :n] / w[:, None] + (
-            (fp[:, :n] * y).sum(axis=1)[:, None] * y
-        ) / w[:, None] ** 3
-        term += -fp[:, n][:, None] * y / w[:, None] ** 3
-        out = -term / (f * f)[:, None]
-        return out[0] if scalar else out
+        dv = -z[..., None] * y / w3
+        term = fz[..., None] * dv
+        term += -fp[..., :n] / w[..., None] + (
+            (fp[..., :n] * y).sum(axis=-1)[..., None] * y
+        ) / w3
+        term += -fp[..., n][..., None] * y / w3
+        return -term / (f * f)[..., None]
 
 
 def psi_conversions(psi: PsiSpec):

@@ -44,10 +44,6 @@ class BoundaryMismatchError(KHGraphError):
         )
 
 
-class CapabilityError(KHGraphError):
-    """A required oracle (e.g. a psi partial derivative) is missing."""
-
-
 class OutOfImageError(KHGraphError):
     """Newton inversion of a gradient map failed to reach the requested point."""
 

@@ -24,10 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import symfun
-from .errors import BoundaryMismatchError, PreconditionError
+from .errors import BoundaryMismatchError, ConeViolationError, PreconditionError
 from .psi import PsiSpec
-
-_SYM_TOL = 1e-13
 
 
 @dataclass
@@ -47,10 +45,7 @@ class Jet2:
         n = self.point.size
         if self.gradient.size != n or self.hessian.shape != (n, n):
             raise ValueError("jet shapes inconsistent with point dimension")
-        scale = max(1.0, float(np.abs(self.hessian).max()))
-        if np.abs(self.hessian - self.hessian.T).max() > _SYM_TOL * scale:
-            raise ValueError("jet hessian is not symmetric within tolerance")
-        self.hessian = 0.5 * (self.hessian + self.hessian.T)
+        self.hessian = symfun.require_symmetric(self.hessian)
 
     @property
     def dim(self) -> int:
@@ -91,23 +86,14 @@ class CurvaturePack:
     kappa: np.ndarray  # ascending
 
 
-def graph_factors(gradient: np.ndarray):
-    """(w, b, b_inv) from a gradient vector; b is the square root of g^ij."""
-    du = np.asarray(gradient, dtype=float).ravel()
-    n = du.size
-    w = float(np.sqrt(1.0 + du @ du))
-    outer = np.outer(du, du)
-    b = np.eye(n) - outer / (w * (1.0 + w))
-    b_inv = np.eye(n) + outer / (1.0 + w)
-    return w, b, b_inv
-
-
 def curvature_pack(jet: Jet2) -> CurvaturePack:
     """Assemble metric, normal, curvature matrix and principal curvatures."""
     du = jet.gradient
     n = jet.dim
-    w, b, b_inv = graph_factors(du)
+    w = float(np.sqrt(1.0 + du @ du))
     outer = np.outer(du, du)
+    b = np.eye(n) - outer / (w * (1.0 + w))
+    b_inv = np.eye(n) + outer / (1.0 + w)
     g = np.eye(n) + outer
     g_inv = np.eye(n) - outer / (w * w)
     second = jet.hessian / w
@@ -164,19 +150,11 @@ def primal_linearization(jet: Jet2, k: int, psi: PsiSpec):
     psi^s is the chain rule of psi(z, p) through z = (u - x.Du)/w and
     p = (-Du, 1)/w with the point held fixed.
     """
-    psi.require_partials()
-    du = jet.gradient
-    m = jet.hessian
-    x = jet.point
-    n = jet.dim
-    w, b, _ = graph_factors(du)
-    a = (b @ m @ b) / w
-    a = 0.5 * (a + a.T)
-    kappa, _ = symfun.jacobi_eigh(a)
-    if kappa[0] <= 0.0:
-        from .errors import ConeViolationError
-
-        raise ConeViolationError(kappa)
+    pack = curvature_pack(jet)
+    if pack.kappa[0] <= 0.0:
+        raise ConeViolationError(pack.kappa)
+    du, x, n = jet.gradient, jet.point, jet.dim
+    w, b, a = pack.w, pack.b, pack.curvature_matrix
     s_mat = symfun.sigma_k_matrix_gradient(a, k)
     gij = (b @ s_mat @ b) / w
 
@@ -184,17 +162,14 @@ def primal_linearization(jet: Jet2, k: int, psi: PsiSpec):
     term = w * (b @ (s_mat @ (a @ du))) + b @ (a @ (s_mat @ du))
     gs = -(tr_sa / w**2) * du - (2.0 / (w * (1.0 + w))) * term
 
-    z = (jet.value - x @ du) / w
-    normal = np.concatenate([-du, [1.0]]) / w
+    z = support_value(jet)
     # dz/du_s = -x_s/w - (u - x.Du) u_s / w^3
     dz = -x / w - (jet.value - x @ du) * du / w**3
     # dp_i/du_s = -delta_is/w + u_i u_s / w^3 (i <= n); dp_{n+1}/du_s = -u_s/w^3
     dp = np.zeros((n + 1, n))
     dp[:n, :] = -np.eye(n) / w + np.outer(du, du) / w**3
     dp[n, :] = -du / w**3
-    psis = float(psi.partial_z(z, normal)) * dz + np.asarray(
-        psi.partial_p(z, normal), dtype=float
-    ) @ dp
+    psis = float(psi.partial_z(z, pack.normal)) * dz + psi.partial_p(z, pack.normal) @ dp
     return gij, gs, psis
 
 

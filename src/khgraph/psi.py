@@ -9,42 +9,38 @@ z is the support value <X, N> of the graph and p the upward unit normal, an
 * the exponential continuation family exp(-eps * z / p_{n+1}) * psi0(p),
   which is the monotone perturbation driving the eps-continuation.
 
-All oracles broadcast over a leading axis: z may be a scalar or (m,) array and
-p a (n+1,) or (m, n+1) array.
+All oracles broadcast over leading axes: z (...) and p (..., n+1) give
+(...) values and (..., n+1) p-partials; one point is the 0-d case, and each
+batch row is bit for bit the one-point call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-from .errors import CapabilityError
 
 
 @dataclass
 class PsiSpec:
-    """A positive right-hand side psi(z, p) with partial-derivative oracles.
+    """A positive right-hand side psi(z, p) with its two partial derivatives.
 
-    evaluate(z, p) must be positive on its declared domain.  partial_z and
-    partial_p may be None for report-only uses; operations that need them
-    raise CapabilityError.  monotone_flag asserts psi_z <= 0 (the structural
-    condition making the dual problem monotone).
+    evaluate(z, p) must be positive on its declared domain; partial_z and
+    partial_p are d psi/dz (shape (...)) and d psi/dp (shape (..., n+1)).
+    Every shipped family satisfies psi_z <= 0, the structural condition
+    making the dual problem monotone.
     """
 
     kind: str
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    partial_z: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    partial_p: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    monotone_flag: bool = False
+    partial_z: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    partial_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def __call__(self, z, p):
-        return self.evaluate(z, p)
 
-    def require_partials(self) -> None:
-        if self.partial_z is None or self.partial_p is None:
-            raise CapabilityError(f"psi family {self.kind!r} has no partial oracles")
+def _zero_partial_z(z, p):
+    """partial_z of the z-independent families."""
+    return np.zeros(np.shape(z))
 
 
 def constant_psi(value: float) -> PsiSpec:
@@ -54,18 +50,12 @@ def constant_psi(value: float) -> PsiSpec:
     c = float(value)
 
     def ev(z, p):
-        z = np.asarray(z, dtype=float)
-        return np.full(z.shape, c) if z.shape else c
-
-    def dz(z, p):
-        z = np.asarray(z, dtype=float)
-        return np.zeros(z.shape) if z.shape else 0.0
+        return np.full(np.shape(z), c)
 
     def dp(z, p):
-        p = np.asarray(p, dtype=float)
-        return np.zeros(p.shape)
+        return np.zeros(np.shape(p))
 
-    return PsiSpec("constant", ev, dz, dp, monotone_flag=True)
+    return PsiSpec("constant", ev, _zero_partial_z, dp)
 
 
 def normal_poly_psi(const: float, linear=None, quadratic=None) -> PsiSpec:
@@ -89,14 +79,11 @@ def normal_poly_psi(const: float, linear=None, quadratic=None) -> PsiSpec:
         p = np.asarray(p, dtype=float)
         out = np.full(p.shape[:-1], float(const))
         if a is not None:
-            out = out + p @ a
+            # not p @ a: BLAS rounds one point and a batch row differently
+            out = out + (p * a).sum(axis=-1)
         if b is not None:
             out = out + np.einsum("...i,ij,...j->...", p, b, p)
-        return out if out.shape else float(out)
-
-    def dz(z, p):
-        z = np.asarray(z, dtype=float)
-        return np.zeros(z.shape) if z.shape else 0.0
+        return out
 
     def dp(z, p):
         p = np.asarray(p, dtype=float)
@@ -107,7 +94,7 @@ def normal_poly_psi(const: float, linear=None, quadratic=None) -> PsiSpec:
             out = out + 2.0 * (p @ b)
         return out
 
-    return PsiSpec("normal-only", ev, dz, dp, monotone_flag=True)
+    return PsiSpec("normal-only", ev, _zero_partial_z, dp)
 
 
 def exponential_psi(eps: float, base: PsiSpec) -> PsiSpec:
@@ -126,14 +113,12 @@ def exponential_psi(eps: float, base: PsiSpec) -> PsiSpec:
         return np.exp(-e * z / p[..., -1]) * base.evaluate(z, p)
 
     def dz(z, p):
-        base.require_partials()
         z = np.asarray(z, dtype=float)
         p = np.asarray(p, dtype=float)
         f = np.exp(-e * z / p[..., -1])
         return f * (base.partial_z(z, p) - (e / p[..., -1]) * base.evaluate(z, p))
 
     def dp(z, p):
-        base.require_partials()
         z = np.asarray(z, dtype=float)
         p = np.asarray(p, dtype=float)
         f = np.exp(-e * z / p[..., -1])
@@ -142,7 +127,7 @@ def exponential_psi(eps: float, base: PsiSpec) -> PsiSpec:
         out[..., -1] += f * base.evaluate(z, p) * e * z / p[..., -1] ** 2
         return out
 
-    return PsiSpec("exponential", ev, dz, dp, monotone_flag=e >= 0.0)
+    return PsiSpec("exponential", ev, dz, dp)
 
 
 def cap_constant_psi(rho: float, k: int, n: int = 2) -> PsiSpec:
@@ -177,14 +162,10 @@ def cap_manufactured_psi(rho: float, k: int, eps: float, n: int = 2) -> PsiSpec:
         p = np.asarray(p, dtype=float)
         return c0 * np.exp(e * r / p[..., -1])
 
-    def dz(z, p):
-        z = np.asarray(z, dtype=float)
-        return np.zeros(z.shape) if z.shape else 0.0
-
     def dp(z, p):
         p = np.asarray(p, dtype=float)
         out = np.zeros(p.shape)
         out[..., -1] = -c0 * np.exp(e * r / p[..., -1]) * e * r / p[..., -1] ** 2
         return out
 
-    return PsiSpec("normal-only", ev, dz, dp, monotone_flag=True)
+    return PsiSpec("normal-only", ev, _zero_partial_z, dp)

@@ -3,21 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-
-REPORT_KEYS = (
-    "c_estimate",
-    "residual_history",
-    "chi_min",
-    "M",
-    "M_tilde",
-    "mean_u",
-    "grid_dump_path",
-    "wall_time",
-    "convergence_flag",
-)
 
 CSV_COLUMNS = ("y1", "y2", "u_star", "du1", "du2", "lambda_min", "lambda_max")
 
@@ -51,6 +39,9 @@ class SolveReport:
         if missing:
             raise ValueError(f"missing report keys: {sorted(missing)}")
         return cls(**raw)
+
+
+REPORT_KEYS = tuple(f.name for f in fields(SolveReport))
 
 
 def write_grid_csv(path, nodes, u_star, gradients, radii) -> None:

@@ -207,7 +207,8 @@ def field_eval(field: RotationField, y: np.ndarray) -> np.ndarray:
     """T(y) for y (..., n), the generator of the flow, from its degree-2 closed form."""
     y = np.asarray(y, dtype=float)
     c, b = _coeffs(field)
-    return c + y @ b.T + (y @ c)[..., None] * y
+    # elementwise sums, not y @ b.T: BLAS rounds one point and a batch row differently
+    return c + (y[..., None, :] * b).sum(axis=-1) + (y * c).sum(axis=-1)[..., None] * y
 
 
 def field_polynomial(field: RotationField):

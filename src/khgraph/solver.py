@@ -500,7 +500,6 @@ class PrimalRecovery:
     values: np.ndarray  # primal u there
     hausdorff: float  # distance between Du(boundary) and the target boundary
     boundary_defect: float  # max |h_target(Du(x))| over boundary samples
-    mean_u: float
 
 
 def recover_primal(state: SolverState, problem: DualProblem) -> PrimalRecovery:
@@ -532,7 +531,6 @@ def recover_primal(state: SolverState, problem: DualProblem) -> PrimalRecovery:
         values=values,
         hausdorff=hausdorff,
         boundary_defect=defect,
-        mean_u=primal_mean(problem, u),
     )
 
 

@@ -23,15 +23,16 @@ from .errors import ConeViolationError
 # merged (divided-difference limit for a symmetric spectral function).
 DEGENERATE_GAP = 1e-8
 
-_SYMMETRY_TOL = 1e-14
+_SYMMETRY_TOL = 1e-13
 
 
-def _require_symmetric(a: np.ndarray) -> np.ndarray:
+def require_symmetric(a: np.ndarray) -> np.ndarray:
+    """a symmetrised; ValueError unless square and symmetric to 1e-13 * max(1, |a|max)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale * 10:
+    if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (a + a.T)
 
@@ -78,7 +79,7 @@ def jacobi_eigh(a: np.ndarray):
     Iterates full sweeps, at most 60, until the off-diagonal Frobenius norm
     drops below 1e-13 * ||A||_F.
     """
-    a = _require_symmetric(a)
+    a = require_symmetric(a)
     n = a.shape[0]
     v = np.eye(n)
     a = a.copy()
@@ -130,7 +131,7 @@ class SpectrumRequest:
     mode: str = "primal"
 
     def __post_init__(self):
-        self.A = _require_symmetric(self.A)
+        self.A = require_symmetric(self.A)
         n = self.A.shape[0]
         if not 1 <= self.k <= n:
             raise ValueError(f"order k = {self.k} out of range 1..{n}")
@@ -214,7 +215,7 @@ def sigma_k_matrix_gradient(a: np.ndarray, k: int) -> np.ndarray:
     Used by the primal linearization and as an independent cross-check of the
     spectral route.
     """
-    a = _require_symmetric(a)
+    a = require_symmetric(a)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"order k = {k} out of range 1..{n}")

@@ -14,6 +14,7 @@ from khgraph import bodies, duality, geometry, rotations, solver, symfun
 from khgraph.geometry import Jet2
 from khgraph.grid import build_grid
 from khgraph.harness import run_solve
+from khgraph.meshfree import central_difference_jet
 from khgraph.psi import (
     cap_constant_psi,
     cap_manufactured_psi,
@@ -113,41 +114,19 @@ def test_criterion_3_frame_identity():
     def vfun(y):
         return 0.8 * np.sqrt(1 + y @ y) + 0.25 * np.sin(y[0] - 0.4 * y[1])
 
-    def fd_jet(fun, y, h):
-        n = y.size
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        f0 = fun(y)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            grad[i] = (fun(y + e) - fun(y - e)) / (2 * h)
-            hess[i, i] = (fun(y + e) - 2 * f0 + fun(y - e)) / h**2
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei, ej = np.zeros(n), np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    fun(y + ei + ej) - fun(y + ei - ej)
-                    - fun(y - ei + ej) + fun(y - ei - ej)
-                ) / (4 * h**2)
-        return f0, grad, hess
-
     rng = np.random.default_rng(7)
     ratios = []
     for _ in range(5):
         y0 = rng.normal(size=2) * 0.5
         errs = []
         for h in (2e-3, 1e-3):
-            v0, gv, hv = fd_jet(vfun, y0, h)
-            lam = duality.spherical_hessian(Jet2(y0, v0, gv, hv)).lambda_matrix
+            lam = duality.spherical_hessian(central_difference_jet(vfun, y0, h)).lambda_matrix
             w = np.sqrt(1 + y0 @ y0)
             vt = lambda y: vfun(y) / np.sqrt(1 + y @ y)  # noqa: E731
-            vt0, gt, ht = fd_jet(vt, y0, h)
-            cov = ht - np.einsum("kij,k->ij", duality.christoffel(y0), gt)
+            jt = central_difference_jet(vt, y0, h)
+            cov = jt.hessian - np.einsum("kij,k->ij", duality.christoffel(y0), jt.gradient)
             oracle = w**2 * (duality.bstar(y0) @ cov @ duality.bstar(y0))
-            oracle += vt0 * np.eye(2)
+            oracle += jt.value * np.eye(2)
             errs.append(np.abs(lam - oracle).max())
         ratios.append(errs[0] / errs[1])
     wall = time.perf_counter() - t0

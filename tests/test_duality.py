@@ -4,6 +4,7 @@ import pytest
 from khgraph import duality, geometry
 from khgraph.errors import OutOfImageError
 from khgraph.geometry import Jet2, Jets
+from khgraph.meshfree import central_difference_jet
 from khgraph.psi import (
     cap_constant_psi,
     constant_psi,
@@ -363,36 +364,15 @@ class TestSphericalHessian:
         n = 2
         errs = []
         for h in (2e-3, 1e-3):
-            def fd_jet(fun, y):
-                grad = np.zeros(n)
-                hess = np.zeros((n, n))
-                f0 = fun(y)
-                for i in range(n):
-                    e = np.zeros(n)
-                    e[i] = h
-                    grad[i] = (fun(y + e) - fun(y - e)) / (2 * h)
-                    hess[i, i] = (fun(y + e) - 2 * f0 + fun(y - e)) / h**2
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        ei, ej = np.zeros(n), np.zeros(n)
-                        ei[i] = h
-                        ej[j] = h
-                        hess[i, j] = hess[j, i] = (
-                            fun(y + ei + ej) - fun(y + ei - ej)
-                            - fun(y - ei + ej) + fun(y - ei - ej)
-                        ) / (4 * h**2)
-                return f0, grad, hess
-
-            v0, gv, hv = fd_jet(vfun, y0)
-            lam = duality.spherical_hessian(Jet2(y0, v0, gv, hv)).lambda_matrix
+            lam = duality.spherical_hessian(central_difference_jet(vfun, y0, h)).lambda_matrix
 
             w = np.sqrt(1 + y0 @ y0)
             vt = lambda y: vfun(y) / np.sqrt(1 + y @ y)  # noqa: E731
-            vt0, gt, ht = fd_jet(vt, y0)
+            jt = central_difference_jet(vt, y0, h)
             gam = duality.christoffel(y0)
-            cov = ht - np.einsum("kij,k->ij", gam, gt)
+            cov = jt.hessian - np.einsum("kij,k->ij", gam, jt.gradient)
             b = duality.bstar(y0)
-            oracle = w**2 * (b @ cov @ b) + vt0 * np.eye(n)
+            oracle = w**2 * (b @ cov @ b) + jt.value * np.eye(n)
             errs.append(np.abs(lam - oracle).max())
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
@@ -437,7 +417,6 @@ class TestPsiConversions:
         rng = np.random.default_rng(12)
         for eps in (0.0, 0.2, 1.0):
             ps = exponential_psi(eps, constant_psi(1.5))
-            assert ps.monotone_flag
             _, star = duality.psi_conversions(ps)
             for _ in range(50):
                 y = rng.normal(size=2)

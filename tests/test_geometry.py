@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from khgraph import bodies, geometry, symfun
-from khgraph.errors import BoundaryMismatchError, CapabilityError, ConeViolationError
+from khgraph.errors import BoundaryMismatchError, ConeViolationError
 from khgraph.geometry import Jet2
 from khgraph.psi import (
     cap_constant_psi,
@@ -194,14 +194,6 @@ class TestPrimalLinearization:
                 worst = max(worst, abs(fd_g - gs[s]) / scale_s)
                 worst = max(worst, abs(fd_p - psis[s]) / scale_p)
         assert worst <= 1e-6
-
-    def test_missing_partials_raise_capability_error(self):
-        from khgraph.psi import PsiSpec
-
-        bare = PsiSpec("constant", lambda z, p: 1.0)
-        jet = Jet2(np.zeros(2), 0.0, np.zeros(2), np.eye(2))
-        with pytest.raises(CapabilityError):
-            geometry.primal_linearization(jet, 1, bare)
 
 
 class TestObliqueness:

@@ -155,6 +155,17 @@ class TestFieldEval:
         loop = np.array([rotations.field_eval(fld, y) for y in ys.reshape(-1, 2)])
         np.testing.assert_allclose(batch.reshape(-1, 2), loop, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n_r", [16, 32])
+    def test_batch_bit_identical_on_grid_nodes(self, n_r):
+        # one point and its row of a 1-d or 2-d batch agree in every bit
+        fld, body = ellipse_field()
+        y = build_grid(body, n_r, 2 * n_r).nodes
+        batch = rotations.field_eval(fld, y)
+        loop = np.array([rotations.field_eval(fld, p) for p in y])
+        assert np.array_equal(batch, loop)
+        stacked = rotations.field_eval(fld, y.reshape(n_r, -1, 2))
+        assert np.array_equal(stacked.reshape(-1, 2), loop)
+
     def test_flow_finite_difference_oracle(self):
         fld, _ = ellipse_field()
         rng = np.random.default_rng(6)
