@@ -13,7 +13,10 @@ to span about one ring gap across the rays (see _logical_patch).  That
 makes first and second derivatives exact on cubics and second-order
 accurate on smooth functions on every ring.  All windows of a ring have one
 shape, so the stencils are built one ring at a time, each ring's fits in
-one batched jet_weight_rows call.
+one batched jet_weight_rows call; each fit solves for the six jet
+functionals only, in long double (see meshfree).  The five operators share
+one CSR pattern and apply as CSR products on centred differences; the
+boundary ring, the last N_theta rows, applies alone.
 """
 
 from __future__ import annotations
@@ -47,27 +50,52 @@ class Stencils:
     rounding floor at eps * sum|w| * h * |Du| instead of eps * sum|w| * |u|.
     That factor is what lets second derivatives on boundary-clustered rings
     stay exact on quadratics to 1e-11 in float64.
+
+    Each operator applies as one CSR matrix-vector product: an n x nnz
+    matrix whose row i holds that row's weights against the centred
+    differences diff = u[indices] - u[rows], summed in stored order.  A
+    contiguous block of rows, such as the boundary ring, is applied alone
+    through its slice of the pattern.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
         self.indptr, self.indices, self.weights = indptr, indices, weights
-        n = indptr.size - 1
-        self.rows = np.repeat(np.arange(n), np.diff(indptr))
+        self.n = indptr.size - 1
+        self.rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        self.diag = np.flatnonzero(indices == self.rows)  # every window holds its node
         # row sums are the (tiny) defect of the stored weights on constants;
         # accumulate them in extended precision so they do not re-introduce
         # the cancellation the centered application avoids
-        sums = np.zeros((len(weights), n), dtype=np.longdouble)
+        sums = np.zeros((len(weights), self.n), dtype=np.longdouble)
         np.add.at(sums, (slice(None), self.rows), weights.astype(np.longdouble))
         self.rowsums = sums.astype(float)
+        self._blocks = {}  # (first row, end row) -> one CSR matrix per operator
 
-    def apply(self, u: np.ndarray, which=slice(None)) -> np.ndarray:
-        """The operators OPS[which] applied to u, one row each."""
+    def apply(self, u: np.ndarray, which=slice(None), rows=slice(None)) -> np.ndarray:
+        """The operators OPS[which] applied to u at the rows of the slice rows."""
         u = np.asarray(u, dtype=float)
-        diff = u[self.indices] - u[self.rows]
+        lo, hi, _ = rows.indices(self.n)
+        a, b = self.indptr[lo], self.indptr[hi]
+        diff = u[self.indices[a:b]] - u[self.rows[a:b]]
+        mats = self._block(lo, hi)
         return np.stack([
-            np.bincount(self.rows, weights=w * diff, minlength=u.size) + s * u
-            for w, s in zip(self.weights[which], self.rowsums[which])
+            mats[i] @ diff + self.rowsums[i, lo:hi] * u[lo:hi]
+            for i in np.arange(len(self.weights))[which]
         ])
+
+    def _block(self, lo: int, hi: int) -> list:
+        """Rows lo:hi of each operator: an (hi - lo) x (entries of those rows) CSR."""
+        if (lo, hi) not in self._blocks:
+            a, b = self.indptr[lo], self.indptr[hi]
+            weights = self.weights[:, a:b]
+            pattern = sp.csr_matrix((weights[0], np.arange(b - a), self.indptr[lo : hi + 1] - a),
+                                    shape=(hi - lo, b - a))
+            mats = [sp.csr_matrix((w, pattern.indices, pattern.indptr), shape=pattern.shape)
+                    for w in weights]
+            for mat, w in zip(mats, weights):
+                mat.data = w  # csr_matrix copies a row of a larger array; share it
+            self._blocks[lo, hi] = mats
+        return self._blocks[lo, hi]
 
 
 @dataclass
@@ -131,6 +159,10 @@ class Grid:
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self.stencils.apply(u, slice(0, 2)).T
 
+    def boundary_gradient(self, u: np.ndarray) -> np.ndarray:
+        """gradient(u)[boundary_idx], from the boundary rows alone (the last N_theta)."""
+        return self.stencils.apply(u, slice(0, 2), slice(self.boundary_idx[0], None)).T
+
     def hessians(self, u: np.ndarray) -> np.ndarray:
         h = self.stencils.apply(u, slice(2, 5))  # dxx, dxy, dyy
         return h[[0, 1, 1, 2]].T.reshape(-1, 2, 2)
@@ -160,7 +192,7 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
 
     stencils = _build_stencils(nodes, n_r, n_theta, radii)
     ops = {name: StencilOp(stencils, i) for i, name in enumerate(OPS)}
-    _validate_stencils(nodes, ops)
+    _validate_stencils(nodes, stencils)
 
     quad = _quad_weights(body, radii, thetas)
 
@@ -253,21 +285,22 @@ def _build_stencils(
     return Stencils(indptr, np.concatenate(cols), np.concatenate(vals, axis=1))
 
 
-def _validate_stencils(nodes: np.ndarray, ops: dict) -> None:
+def _validate_stencils(nodes: np.ndarray, stencils: Stencils) -> None:
     """Quadratics must differentiate exactly (to rounding) at every node."""
     x, y = nodes[:, 0], nodes[:, 1]
+    zero, one = np.zeros_like(x), np.ones_like(x)
     scale = max(1.0, float(np.abs(nodes).max()))
-    checks = [
-        (x * x, {"dx": 2 * x, "dy": 0 * x, "dxx": 2 + 0 * x, "dxy": 0 * x, "dyy": 0 * x}),
-        (x * y, {"dx": y, "dy": x, "dxx": 0 * x, "dxy": 1 + 0 * x, "dyy": 0 * x}),
-        (y * y, {"dx": 0 * x, "dy": 2 * y, "dxx": 0 * x, "dxy": 0 * x, "dyy": 2 + 0 * x}),
+    checks = [  # u and its exact (dx, dy, dxx, dxy, dyy)
+        (x * x, (2 * x, zero, 2 * one, zero, zero)),
+        (x * y, (y, x, zero, one, zero)),
+        (y * y, (zero, 2 * y, zero, zero, 2 * one)),
     ]
     for u, exact in checks:
-        for k, target in exact.items():
-            err = np.abs(ops[k] @ u - target).max()
+        errs = np.abs(stencils.apply(u) - np.stack(exact)).max(axis=1)
+        for name, err in zip(OPS, errs):
             if err > 1e-11 * scale:
                 raise GridConstructionError(
-                    f"stencil {k} not exact on quadratics: err = {err:.3e}"
+                    f"stencil {name} not exact on quadratics: err = {err:.3e}"
                 )
 
 

@@ -9,9 +9,21 @@ second-order accurate Hessians on smooth data.
 Patches on body-fitted polar grids are anisotropic (near the boundary a
 window reaches about four times as far along the rings as across them), so
 the fit runs in a whitened local frame: principal axes of the patch
-scatter, each scaled to unit spread.  The derivative
-functionals are transformed back to the original coordinates, keeping
-exactness.
+scatter, each scaled to unit spread.
+
+A jet needs only six functionals of the fit (value, two gradient and three
+Hessian entries), so the normal system G c = A^T W^2 f is never solved for
+all m columns: G is solved against those six functionals, already mapped
+back to the original coordinates (d/d_delta = R S^-1 d/d_xi), and a
+functional e's weight row is W^2 A G^-1 e.  G itself comes from one power
+table xi_j^p, p <= 2d, as the weighted moments sum_k w_k^2 xi_k^(alpha+beta).
+The solve is a partially pivoted elimination in 80-bit long double.  Its
+rounding is load-bearing: a float64 QR of the weighted design leaves the
+assembled Jacobian's rotation equivariance at 3.4e-10, over its 1e-10 bound.
+Cheaper factorizations fail on the nearly cocircular scattered patches that
+degree-2 fits meet in the recovered primal cloud, where the float64 normal
+matrix is singular: a float64 inverse raises, and a long-double Cholesky
+returns NaN.
 
 The fit broadcasts over leading axes: jet_weight_rows takes a batch of
 equal-sized patches (..., m, dim) with centers (..., dim) and gives each
@@ -24,6 +36,8 @@ answer a batch of queries exactly as they answer each query alone.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -69,10 +83,22 @@ def jet_functionals(exps: np.ndarray, dim: int):
     return idx_val, idx_grad, idx_hess
 
 
-def _design_matrix(xi: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Monomials xi^alpha of points (..., m, dim) as columns: (..., m, n_basis)."""
-    powers = xi[..., None] ** np.arange(exps.max() + 1)  # each xi_j^p once
-    return np.prod(powers[..., np.arange(exps.shape[1]), exps], axis=-1)
+@functools.lru_cache(maxsize=None)
+def _moment_layout(dim: int, degree: int):
+    """Index tables of the degree-d fit's normal matrix in moment form.
+
+    Returns (exps, n_basis, gram_index, functionals): exps lists the
+    exponents up to 2d in graded order, so its first n_basis rows are the
+    basis monomials; gram_index[a, b] is the row of exps holding
+    basis[a] + basis[b], so that the normal matrix of weighted monomials
+    is moments[gram_index]; functionals is jet_functionals of the basis.
+    """
+    exps = monomial_exponents(dim, 2 * degree)
+    n_basis = monomial_exponents(dim, degree).shape[0]
+    row = {tuple(e): i for i, e in enumerate(exps)}
+    gram_index = np.array([[row[tuple(a + b)] for b in exps[:n_basis]]
+                           for a in exps[:n_basis]])
+    return exps, n_basis, gram_index, jet_functionals(exps[:n_basis], dim)
 
 
 def _solve_longdouble(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -80,10 +106,10 @@ def _solve_longdouble(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Solves each system of a batch, g (..., n, n) against rhs (..., n, m),
     with the operations it would get alone: the loops run over the n columns
-    and rows, never over the systems.  The stencil back-transform multiplies
-    solve-level rounding by 1/h^2, so float64 least squares leaves ~1e-11
-    exactness defects on fine grids; 80-bit arithmetic on the tiny normal
-    system removes them.
+    and rows, never over the systems.  The map back to original coordinates
+    multiplies solve-level rounding by 1/h^2, so float64 least squares
+    leaves ~1e-11 exactness defects on fine grids; 80-bit arithmetic on the
+    tiny normal system removes them.
     """
     n, m = rhs.shape[-2:]
     ab = np.concatenate([g, rhs], axis=-1).astype(np.longdouble).reshape(-1, n, n + m)
@@ -125,27 +151,51 @@ def jet_weight_rows(points: np.ndarray, center: np.ndarray, degree: int):
     rot = rot64.astype(np.longdouble)
     xi = (delta @ rot) / scales
 
-    exps = monomial_exponents(dim, degree)
-    a = _design_matrix(xi, exps)
+    exps, n_basis, gram_index, (iv, ig, ih) = _moment_layout(dim, degree)
+    # one power table xi_j^p, p <= 2d, gives every monomial up to degree 2d;
+    # the first n_basis of them are the design matrix, transposed
+    xi_t = np.moveaxis(xi, -1, 0)
+    powers = np.empty((dim, 2 * degree + 1) + xi_t.shape[1:], dtype=np.longdouble)
+    powers[:, 0] = 1.0
+    for p in range(1, 2 * degree + 1):
+        powers[:, p] = powers[:, p - 1] * xi_t
+    mono = powers[0, exps[:, 0]]
+    for j in range(1, dim):
+        mono = mono * powers[j, exps[:, j]]
+    mono = np.moveaxis(mono, 0, -2)  # (..., n_exps, m)
     dist2 = (xi * xi).sum(axis=-1)
     # least-squares weights wts^2 decay like |xi|^-4; a steeper |xi|^-8 gives
     # the outer rays of 5-ray grid windows so little weight that rounding in
     # the assembled Jacobian triples (its commutator with a ray rotation
     # on a 16x32 disk: 1.1e-10 against 3.6e-11)
     wts = 1.0 / (1.0 + dist2)
-    aw2 = np.swapaxes(a * wts[..., None] ** 2, -1, -2)
-    coef = _solve_longdouble(aw2 @ a, aw2)
+    w2 = wts * wts
+    # the normal matrix sum_k w_k^2 xi_k^(alpha+beta), read off the moments
+    moments = (mono @ w2[..., None])[..., 0]
+    gram = moments[..., gram_index]
 
-    iv, ig, ih = jet_functionals(exps, dim)
-    # the coefficient of xi_i^2 is half the second derivative
-    hess_xi = coef[..., ih, :] * (1 + np.eye(dim, dtype=int))[:, :, None]
-    hess_xi = 0.5 * (hess_xi + np.swapaxes(hess_xi, -2, -3))
-
-    # back to original coordinates: d/d_delta = R S^{-1} d/d_xi
+    # right-hand sides: the value, gradient and Hessian functionals in the
+    # original coordinates, d/d_delta = R S^{-1} d/d_xi; the coefficient of
+    # xi_i^2 is half the second derivative
     rs = rot / scales  # columns are R[:,i]/s_i
-    w_val = coef[..., iv, :].astype(float)
-    w_grad = (rs @ coef[..., ig, :]).astype(float)
-    w_hess = np.einsum("...ai,...ijm,...bj->...abm", rs, hess_xi, rs).astype(float)
+    upper = [(a, b) for a in range(dim) for b in range(a, dim)]
+    rhs = np.zeros(rs.shape[:-2] + (n_basis, 1 + dim + len(upper)), dtype=np.longdouble)
+    rhs[..., iv, 0] = 1.0
+    for a in range(dim):
+        rhs[..., ig, 1 + a] = rs[..., a, :]
+    for f, (a, b) in enumerate(upper, start=1 + dim):
+        for i in range(dim):
+            rhs[..., ih[i, i], f] += 2.0 * rs[..., a, i] * rs[..., b, i]
+            for j in range(i + 1, dim):
+                rhs[..., ih[i, j], f] += rs[..., a, i] * rs[..., b, j] + rs[..., a, j] * rs[..., b, i]
+    # the weight row of functional e is w^2 (A G^-1 e), G symmetric
+    coef = _solve_longdouble(gram, rhs)
+    rows = ((np.swapaxes(coef, -1, -2) @ mono[..., :n_basis, :]) * w2[..., None, :]).astype(float)
+
+    w_val, w_grad = rows[..., 0, :], rows[..., 1 : 1 + dim, :]
+    w_hess = np.empty(rows.shape[:-2] + (dim, dim, rows.shape[-1]))
+    for f, (a, b) in enumerate(upper, start=1 + dim):
+        w_hess[..., a, b, :] = w_hess[..., b, a, :] = rows[..., f, :]
     return w_val, w_grad, w_hess
 
 

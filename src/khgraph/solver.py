@@ -158,8 +158,7 @@ class DualProblem:
         fval, rhs = self.interior_sides(u, eps)
         res = np.empty(self.grid.n_nodes)
         res[self.interior] = fval - rhs
-        du = self.grid.gradient(u)
-        hvals, _ = self.boundary_h(du[self.boundary])
+        hvals, _ = self.boundary_h(self.grid.boundary_gradient(u))
         res[self.boundary] = hvals
         return res
 
@@ -190,11 +189,10 @@ class DualProblem:
         # rows beta . (dx, dy) with beta = Dh_omega(Du*)
         coef = np.zeros((5, grid.n_nodes))
         coef[2:, self.interior] = dh[:, 0, 0], 2.0 * dh[:, 0, 1], dh[:, 1, 1]
-        _, beta = self.boundary_h(grid.gradient(u)[self.boundary])
+        _, beta = self.boundary_h(grid.boundary_gradient(u))
         coef[:2, self.boundary] = beta.T
         data = sum(c[st.rows] * w for c, w in zip(coef, st.weights))
-        diag = np.flatnonzero(st.indices == st.rows)  # every window holds its node
-        data[diag[self.interior]] -= self.dual_psi(eps).partial_z(
+        data[st.diag[self.interior]] -= self.dual_psi(eps).partial_z(
             grid.nodes[self.interior], u[self.interior]
         )
         return sp.csr_matrix((data, st.indices, st.indptr), shape=(grid.n_nodes,) * 2)
