@@ -115,9 +115,9 @@ def cmd_field(args) -> int:
     lines.append(f"# t_max: {fld.t_max:.17g}")
     lines.append("t,y1,y2,T1,T2")
     ts = np.linspace(0.0, fld.t_max, args.t_samples)
-    for t in ts:
-        yt = rotations.flow(fld, t, y0)
-        tv = rotations.field_eval(fld, yt)
+    ys = rotations.flow(fld, ts, y0)
+    tvs = rotations.field_eval(fld, ys)
+    for t, yt, tv in zip(ts, ys, tvs):
         lines.append(
             ",".join(f"{v:.17g}" for v in (t, yt[0], yt[1], tv[0], tv[1]))
         )

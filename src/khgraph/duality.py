@@ -30,13 +30,16 @@ from .psi import PsiSpec
 
 
 def project(x: np.ndarray) -> np.ndarray:
-    """Central projection of an upper-hemisphere point to the chart, y_i = -x_i/x_{n+1}."""
-    x = np.asarray(x, dtype=float).ravel()
-    if abs(x @ x - 1.0) > 1e-10:
+    """Central projection of upper-hemisphere points to the chart, y_i = -x_i/x_{n+1}.
+
+    x (..., n+1) gives (..., n).
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(symfun.rowdot(x, x) - 1.0) > 1e-10):
         raise ValueError("projection input must be a unit vector")
-    if x[-1] <= 0.0:
+    if np.any(x[..., -1] <= 0.0):
         raise ValueError("projection requires a point in the open upper hemisphere")
-    return -x[:-1] / x[-1]
+    return -x[..., :-1] / x[..., -1:]
 
 
 def unproject(y: np.ndarray) -> np.ndarray:
@@ -70,16 +73,20 @@ def argument_matrix(y, hessian) -> np.ndarray:
 
 
 def bstar_inv(y: np.ndarray) -> np.ndarray:
-    """Inverse of b*, delta_ij - y_i y_j/(w_star (1 + w_star))."""
-    y = np.asarray(y, dtype=float).ravel()
-    w = float(np.sqrt(1.0 + y @ y))
-    return np.eye(y.size) - np.outer(y, y) / (w * (1.0 + w))
+    """Inverse of b*, delta_ij - y_i y_j/(w_star (1 + w_star)); y (..., n) gives (..., n, n)."""
+    y = np.asarray(y, dtype=float)
+    w = np.sqrt(1.0 + symfun.rowdot(y, y))[..., None, None]
+    return np.eye(y.shape[-1]) - y[..., :, None] * y[..., None, :] / (w * (1.0 + w))
 
 
 def chart_metric_inv(y: np.ndarray) -> np.ndarray:
-    """g^ij = delta_ij - y_i y_j / (1 + |y|^2); w_star^2 times the sphere metric."""
-    y = np.asarray(y, dtype=float).ravel()
-    return np.eye(y.size) - np.outer(y, y) / (1.0 + y @ y)
+    """g^ij = delta_ij - y_i y_j / (1 + |y|^2); w_star^2 times the sphere metric.
+
+    y (..., n) gives (..., n, n).
+    """
+    y = np.asarray(y, dtype=float)
+    outer = y[..., :, None] * y[..., None, :]
+    return np.eye(y.shape[-1]) - outer / (1.0 + symfun.rowdot(y, y))[..., None, None]
 
 
 def christoffel(y: np.ndarray) -> np.ndarray:
@@ -89,14 +96,8 @@ def christoffel(y: np.ndarray) -> np.ndarray:
     axes [k, i, j].  Used by the finite-difference covariant-Hessian oracle.
     """
     y = np.asarray(y, dtype=float).ravel()
-    n = y.size
-    w2 = 1.0 + y @ y
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                gamma[k, i, j] = -(y[i] * (k == j) + y[j] * (k == i)) / w2
-    return gamma
+    eye = np.eye(y.size)
+    return -(y[:, None] * eye[:, None, :] + y * eye[:, :, None]) / (1.0 + y @ y)
 
 
 @dataclass
@@ -107,8 +108,9 @@ class DualChartPack:
     radii: np.ndarray  # ascending; curvature radii when the jet is a Legendre dual
 
 
-def dual_chart_pack(jet_star: Jet2) -> DualChartPack:
-    dual = argument_matrix(jet_star.point, jet_star.hessian)
+def dual_chart_pack(jet_star, point=None) -> DualChartPack:
+    """The pack of one Jet2 of u* (at jet_star.point) or of a Jets batch at points (..., n)."""
+    dual = argument_matrix(jet_star.point if point is None else point, jet_star.hessian)
     radii, _ = symfun.jacobi_eigh(dual)
     return DualChartPack(dual_matrix=dual, radii=radii)
 

@@ -57,7 +57,8 @@ class Jets(NamedTuple):
 
     What the array-first jet oracles (GridJetInterpolant.jet,
     JetInterpolant.jet) return.  The fields carry Jet2's names, so code that
-    reads only .gradient and .hessian (obliqueness_chi) takes either.
+    reads only .gradient and .hessian (obliqueness_chi, curvature_pack) takes
+    either.
     """
 
     value: np.ndarray
@@ -73,7 +74,11 @@ class Jets(NamedTuple):
 
 @dataclass
 class CurvaturePack:
-    """All pointwise hypersurface tensors of a graph at one point."""
+    """All pointwise hypersurface tensors of a graph at one point or a batch.
+
+    Fields carry the batch's leading axes: w (...), matrices (..., n, n),
+    normal (..., n+1), kappa (..., n); one Jet2 gives w as a float.
+    """
 
     w: float
     g: np.ndarray
@@ -86,48 +91,55 @@ class CurvaturePack:
     kappa: np.ndarray  # ascending
 
 
-def curvature_pack(jet: Jet2) -> CurvaturePack:
-    """Assemble metric, normal, curvature matrix and principal curvatures."""
-    du = jet.gradient
-    n = jet.dim
-    w = float(np.sqrt(1.0 + du @ du))
-    outer = np.outer(du, du)
-    b = np.eye(n) - outer / (w * (1.0 + w))
-    b_inv = np.eye(n) + outer / (1.0 + w)
-    g = np.eye(n) + outer
-    g_inv = np.eye(n) - outer / (w * w)
-    second = jet.hessian / w
-    a = (b @ jet.hessian @ b) / w
-    a = 0.5 * (a + a.T)
+def curvature_pack(jet) -> CurvaturePack:
+    """Assemble metric, normal, curvature matrix and principal curvatures.
+
+    jet is one Jet2 or a Jets batch; only .gradient and .hessian are read.
+    Each batch row is bit for bit the one-jet call.
+    """
+    du = np.asarray(jet.gradient, dtype=float)
+    hess = np.asarray(jet.hessian, dtype=float)
+    eye = np.eye(du.shape[-1])
+    w = np.sqrt(1.0 + symfun.rowdot(du, du))
+    wm = w[..., None, None]
+    outer = du[..., :, None] * du[..., None, :]
+    b = eye - outer / (wm * (1.0 + wm))
+    a = (b @ hess @ b) / wm
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
     kappa, _ = symfun.jacobi_eigh(a)
-    normal = np.concatenate([-du, [1.0]]) / w
+    normal = np.concatenate([-du, np.ones(du.shape[:-1] + (1,))], axis=-1) / w[..., None]
     return CurvaturePack(
         w=w,
-        g=g,
-        g_inv=g_inv,
+        g=eye + outer,
+        g_inv=eye - outer / (wm * wm),
         b=b,
-        b_inv=b_inv,
+        b_inv=eye + outer / (1.0 + wm),
         normal=normal,
-        second_form=second,
+        second_form=hess / wm,
         curvature_matrix=a,
         kappa=kappa,
     )
 
 
-def support_value(jet: Jet2) -> float:
-    """<X, N> = (u - x.Du)/w without forming the ambient position vector."""
-    w = float(np.sqrt(1.0 + jet.gradient @ jet.gradient))
-    return (jet.value - jet.point @ jet.gradient) / w
+def support_value(jet, point=None):
+    """<X, N> = (u - x.Du)/w without forming the ambient position vector.
+
+    jet is one Jet2 (at jet.point) or a Jets batch at points (..., n).
+    """
+    x = jet.point if point is None else np.asarray(point, dtype=float)
+    du = np.asarray(jet.gradient, dtype=float)
+    w = np.sqrt(1.0 + symfun.rowdot(du, du))
+    return (jet.value - symfun.rowdot(x, du)) / w
 
 
-def primal_residual(jet: Jet2, k: int, psi: PsiSpec) -> float:
-    """F(a_ij) - psi(<X,N>, N) at the jet; raises on cone violations."""
+def primal_residual(jet, k: int, psi: PsiSpec, point=None):
+    """F(a_ij) - psi(<X,N>, N) at the jet (or a Jets batch at points); raises on cone violations."""
     pack = curvature_pack(jet)
     op = symfun.eval_operator(
         symfun.SpectrumRequest(pack.curvature_matrix, k, "primal")
     )
-    z = support_value(jet)
-    return op.value - float(psi.evaluate(z, pack.normal))
+    z = support_value(jet, point)
+    return op.value - psi.evaluate(z, pack.normal)
 
 
 def primal_linearization(jet: Jet2, k: int, psi: PsiSpec):

@@ -73,9 +73,13 @@ class RotationField:
         return self.frame[0]
 
     def components(self, y: np.ndarray) -> np.ndarray:
-        """(a_0, a_1, ..., a_n): components of P^{-1}(y) in the frame (x0, e_i)."""
+        """(a_0, a_1, ..., a_n): components of P^{-1}(y) in the frame (x0, e_i).
+
+        y (..., n) gives (..., n+1).
+        """
         x = unproject(y)
-        return np.concatenate([[x @ self.x0], self.frame @ x])
+        return np.concatenate([symfun.rowdot(x, self.x0)[..., None],
+                               (self.frame @ x[..., None])[..., 0]], axis=-1)
 
 
 def _complete_frame(x0: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -175,22 +179,29 @@ def _fit_t_max(field: RotationField, body) -> float:
     return lo
 
 
-def _rotate(field: RotationField, t: float, x: np.ndarray) -> np.ndarray:
-    """Apply the rotation family to ambient points x (..., n+1)."""
-    phi = field.speed * t
-    a0 = (x @ field.x0)[..., None]
-    a1 = (x @ field.e1)[..., None]
+def _rotate(field: RotationField, t, x: np.ndarray) -> np.ndarray:
+    """Apply the rotation family at times t (...) to ambient points x (..., n+1), broadcast."""
+    phi = field.speed * np.asarray(t, dtype=float)[..., None]
+    a = symfun.rowdot(x[..., None, :], np.array([field.x0, field.e1]))
+    a0, a1 = a[..., :1], a[..., 1:]
     rest = x - a0 * field.x0 - a1 * field.e1
     c, s = np.cos(phi), np.sin(phi)
     return (a0 * c - a1 * s) * field.x0 + (a0 * s + a1 * c) * field.e1 + rest
 
 
-def flow(field: RotationField, t: float, y: np.ndarray) -> np.ndarray:
-    """sigma_t(y) = P(A_t(P^{-1}(y))); errors out when the image leaves the hemisphere."""
+def flow(field: RotationField, t, y: np.ndarray) -> np.ndarray:
+    """sigma_t(y) = P(A_t(P^{-1}(y))) for t (...) and y (..., n), broadcast together.
+
+    Raises HemisphereExitError for the first item (in C order) whose image
+    leaves the hemisphere.
+    """
     xt = _rotate(field, t, unproject(y))
-    if xt[-1] < 1e-10:
-        raise HemisphereExitError(t, xt[-1])
-    return -xt[:-1] / xt[-1]
+    height = xt[..., -1]
+    out = height < 1e-10
+    if np.count_nonzero(out):
+        first = np.unravel_index(np.argmax(out), out.shape)
+        raise HemisphereExitError(np.broadcast_to(t, out.shape)[first], height[first])
+    return -xt[..., :-1] / xt[..., -1:]
 
 
 def _coeffs(field: RotationField):
@@ -218,13 +229,9 @@ def field_polynomial(field: RotationField):
     quadratic part is rank-structured, Q[m,j,k] = (delta_mj c_k +
     delta_mk c_j)/2.
     """
-    n = field.dim
     c, b = _coeffs(field)
-    q = np.zeros((n, n, n))
-    for m in range(n):
-        for j in range(n):
-            for k in range(n):
-                q[m, j, k] = 0.5 * ((m == j) * c[k] + (m == k) * c[j])
+    eye = np.eye(field.dim)
+    q = 0.5 * (eye[:, :, None] * c + eye[:, None, :] * c[:, None])
     return c, b, q
 
 
@@ -237,23 +244,23 @@ def field_jacobian(field: RotationField, y: np.ndarray) -> np.ndarray:
 
 
 def envelope_terms(field: RotationField, y: np.ndarray) -> dict:
-    """Chart-metric envelope identity pieces at y.
+    """Chart-metric envelope identity pieces at y (..., n); each entry is (...).
 
     lhs = T^T (I - y y^T / (1+|y|^2)) T, identity = s^2 (1+|y|^2)(a0^2+a1^2),
     bound = 1+|y|^2.  lhs == identity holds exactly; lhs <= bound always.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
     t = field_eval(field, y)
     g = chart_metric_inv(y)
     comps = field.components(y)
-    a0, a1 = comps[0], comps[1]
-    w2 = 1.0 + y @ y
+    a0, a1 = comps[..., 0], comps[..., 1]
+    w2 = 1.0 + symfun.rowdot(y, y)
     return {
-        "lhs": float(t @ g @ t),
+        "lhs": (t[..., None, :] @ g @ t[..., :, None])[..., 0, 0],
         "identity": field.speed**2 * w2 * (a0 * a0 + a1 * a1),
-        "bound": float(w2),
-        "a0": float(a0),
-        "a1": float(a1),
+        "bound": w2,
+        "a0": a0,
+        "a1": a1,
     }
 
 

@@ -8,6 +8,17 @@ Legendre duality used everywhere else in the package.
 All functions here are pure and thread-safe.  The working range is small dense
 symmetric matrices (n <= 8); eigenvalues come from a cyclic Jacobi iteration
 rather than LAPACK so that the test suite can cross-check the two routes.
+
+Broadcast contract: every kernel takes leading axes, matrices (..., n, n) and
+spectra (..., n), and one matrix is the 0-d case of the same code.  Each batch
+row is bit for bit the one-matrix call: the Jacobi sweeps run per matrix in
+the same pair order with the same formulas and stop test (a matrix whose test
+passes is frozen while the rest sweep on), matrix products go through the same
+BLAS call per row, and the 1/k-th powers use np.float_power, which calls libm's
+pow.  np.power on arrays takes a vectorised pow (AVX-512 on x86) that is up to
+1 ulp from libm's, so it would move a value between a batch and a single call.
+A cone violation anywhere in a batch raises ConeViolationError with the
+spectrum of the lowest-index failing item.
 """
 
 from __future__ import annotations
@@ -27,14 +38,34 @@ _SYMMETRY_TOL = 1e-13
 
 
 def require_symmetric(a: np.ndarray) -> np.ndarray:
-    """a symmetrised; ValueError unless square and symmetric to 1e-13 * max(1, |a|max)."""
+    """a symmetrised; ValueError unless square and symmetric to 1e-13 * max(1, |a|max).
+
+    a is (..., n, n); the tolerance is per matrix.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
+    at = a.swapaxes(-1, -2)
+    scale = np.maximum.reduce(np.abs(a), axis=(-2, -1), initial=1.0)
+    asym = np.maximum.reduce(np.abs(a - at), axis=(-2, -1), initial=0.0)
+    if np.count_nonzero(asym > _SYMMETRY_TOL * scale):
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis, a (..., m) and b (..., m) broadcast, by BLAS dot.
+
+    A stacked (1, m) @ (m, 1) product calls, per row, the same dot as a @ b
+    of two vectors, so a batch row is bit for bit the one-vector product (an
+    elementwise sum or a matrix-vector product rounds differently).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The item of values (bad.shape + ...) at the lowest index where bad holds."""
+    return values[np.unravel_index(np.argmax(bad), bad.shape)]
 
 
 def sigma_all(lam: np.ndarray) -> np.ndarray:
@@ -53,68 +84,133 @@ def sigma_all(lam: np.ndarray) -> np.ndarray:
     return e
 
 
-def sigma_k(lam: np.ndarray, k: int) -> float:
-    """k-th elementary symmetric function of the entries of lam."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    n = lam.size
+def sigma_k(lam: np.ndarray, k: int):
+    """k-th elementary symmetric function along the last axis of lam (..., n)."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"order k = {k} out of range 1..{n}")
-    return float(sigma_all(lam)[k])
+    return sigma_all(lam)[..., k]
 
 
 def sigma_drop(lam: np.ndarray) -> np.ndarray:
-    """e_0..e_{n-1} of lam with entry p removed, for every p (rows)."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    n = lam.size
-    out = np.empty((n, n))
-    for p in range(n):
-        out[p] = sigma_all(np.delete(lam, p))
-    return out
+    """e_0..e_{n-1} of lam with entry p removed, for every p (rows).
+
+    lam (..., n) gives (..., n, n): row p is sigma_all of the other entries,
+    gathered in their order through one index table.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    j = np.arange(n - 1)
+    rest = j + (j >= np.arange(n)[:, None])  # row p: 0..n-1 without p
+    return sigma_all(lam[..., rest])
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (m, n, n), by the same BLAS dot as np.linalg.norm."""
+    flat = a.reshape(len(a), a.shape[1] * a.shape[2])
+    return np.sqrt(rowdot(flat, flat))
+
+
+# 0-d constants: a Python float operand costs a conversion on every ufunc call
+_HALF, _ONE, _TINY, _BIG = (np.array(x) for x in (0.5, 1.0, 1e-300, 1e150))
+_FLIP = np.array([-1.0, 1.0])
+
+
+def _sweep_views(av: np.ndarray, n: int):
+    """Views into the live blocks av (m, 2n, n) that a sweep reads and writes.
+
+    Per pair p < q in cyclic order: a_pq, a_pp, a_qq, rows p and q (m, 2, n)
+    with each of the two alone, and columns p and q (m, 2n, 2) with each
+    alone.  Then the coefficient buffers each pair rewrites in place: cs holds
+    (c, s) and sc holds (-s, c), with the views the updates read.
+    """
+    pairs = []
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            rows, cols = av[:, p:q + 1:q - p], av[:, :, p:q + 1:q - p]
+            pairs.append((av[:, p, q], av[:, p, p], av[:, q, q],
+                          rows, rows[:, :1], rows[:, 1:], cols, cols[:, :, :1], cols[:, :, 1:]))
+    cs, sc = np.empty((len(av), 2)), np.empty((len(av), 2))
+    return pairs, (cs, sc, cs[:, 0], cs[:, 1], cs[:, ::-1],
+                   cs[:, :, None], sc[:, :, None], cs[:, None], sc[:, None])
+
+
+def _sweep(pairs: list, coeffs: tuple) -> None:
+    """One cyclic sweep of rotations over every pair, in place, on all live matrices.
+
+    Per matrix this is the one-matrix iteration: a pair whose a_pq is below
+    1e-300 is skipped (c = 1, s = 0 leaves it unchanged bit for bit).
+    """
+    cs, sc, c, s, cs_rev, cs_rows, sc_rows, cs_cols, sc_cols = coeffs
+    m = len(cs)
+    for apq, app, aqq, rows, rp, rq, cols, cp, cq in pairs:
+        skip = np.abs(apq) <= _TINY
+        nskip = np.count_nonzero(skip)
+        if nskip == m:
+            continue
+        theta = _HALF * (aqq - app) / apq
+        t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + _ONE))
+        if np.count_nonzero(t) < m:
+            # t is 0 only at theta == 0 or where theta^2 overflowed;
+            # for 1e150 < |theta| below overflow it already equals 0.5/theta
+            t = np.where(theta == 0.0, 1.0, np.where(np.abs(theta) > _BIG, 0.5 / theta, t))
+        np.reciprocal(np.sqrt(t * t + _ONE), out=c)
+        np.multiply(t, c, out=s)
+        if nskip:
+            cs[skip] = (1.0, 0.0)
+        np.multiply(cs_rev, _FLIP, out=sc)
+        # rows p, q become (c rp - s rq, s rp + c rq); then columns alike
+        rows[...] = rp * cs_rows + rq * sc_rows
+        cols[...] = cp * cs_cols + cq * sc_cols
 
 
 def jacobi_eigh(a: np.ndarray):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of symmetric matrices by cyclic Jacobi rotations.
 
-    Returns (eigenvalues ascending, orthogonal matrix V with columns matching).
-    Iterates full sweeps, at most 60, until the off-diagonal Frobenius norm
-    drops below 1e-13 * ||A||_F.
+    Returns (eigenvalues ascending, orthogonal matrix V with columns matching)
+    for a (..., n, n): shapes (..., n) and (..., n, n).  Each matrix iterates
+    full sweeps, at most 60, until its off-diagonal Frobenius norm drops below
+    1e-13 * ||A||_F; from then on it is frozen and the rotations act on the
+    matrices still sweeping.
     """
     a = require_symmetric(a)
-    n = a.shape[0]
-    v = np.eye(n)
-    a = a.copy()
-    norm = max(np.linalg.norm(a), 1e-300)
-    for _ in range(60):
-        # summed directly: ||A||^2 - ||diag A||^2 cancels below sqrt(eps) ||A||
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= 1e-13 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    lam = np.diag(a).copy()
-    order = np.argsort(lam)
-    return lam[order], v[:, order]
+    lead, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    m, eye = len(a), np.eye(n)
+    # rows :n of each block hold A, rows n: hold V, so that one column
+    # rotation turns A's columns and V's together
+    av = np.empty((m, 2 * n, n))
+    av[:, :n] = a
+    av[:, n:] = eye
+    tol = 1e-13 * np.maximum(_frobenius(a), 1e-300)
+    offdiag = 1.0 - eye
+    work, live, views = av, np.arange(m), None
+    # a skipped pair divides by a zero a_pq; its c, s are replaced after
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(60):
+            # summed directly: ||A||^2 - ||diag A||^2 cancels below sqrt(eps) ||A||
+            stop = _frobenius(work[:, :n] * offdiag) <= tol
+            nstop = np.count_nonzero(stop)
+            if nstop:
+                if work is not av:
+                    av[live] = work
+                if nstop == len(live):
+                    break
+                keep = ~stop
+                work, live, tol, views = work[keep], live[keep], tol[keep], None
+            if views is None:
+                views = _sweep_views(work, n)
+            _sweep(*views)
+        else:
+            if work is not av:
+                av[live] = work
+    lam = np.diagonal(av[:, :n], axis1=1, axis2=2)
+    order = lam.argsort(axis=-1)
+    items = np.arange(m)[:, None]
+    lam = lam[items, order]
+    vec = av[:, n:].swapaxes(1, 2)[items, order].swapaxes(1, 2)
+    return lam.reshape(lead + (n,)), vec.reshape(lead + (n, n))
 
 
 @dataclass
@@ -123,7 +219,8 @@ class SpectrumRequest:
 
     mode 'primal' evaluates sigma_k^(1/k); mode 'dual' evaluates
     (sigma_n/sigma_{n-k})^(1/k).  Both require the spectrum in the positive
-    cone (strictly convex regime).
+    cone (strictly convex regime).  A is one matrix (n, n) or a batch
+    (..., n, n) sharing k and mode.
     """
 
     A: np.ndarray
@@ -132,7 +229,7 @@ class SpectrumRequest:
 
     def __post_init__(self):
         self.A = require_symmetric(self.A)
-        n = self.A.shape[0]
+        n = self.A.shape[-1]
         if not 1 <= self.k <= n:
             raise ValueError(f"order k = {self.k} out of range 1..{n}")
         if self.mode not in ("primal", "dual"):
@@ -141,51 +238,60 @@ class SpectrumRequest:
 
 @dataclass
 class OperatorValue:
-    value: float
+    value: np.ndarray  # (...); a float for one matrix
     gradient: np.ndarray  # F^{ij} = dF/da_{ij}, independent-entry convention
     eigenvalues: np.ndarray  # ascending
 
 
-def _spectral_partials(lam: np.ndarray, k: int, mode: str) -> tuple[float, np.ndarray]:
-    """Operator value and per-eigenvalue partial derivatives d(phi)/d(lambda_p)."""
-    n = lam.size
+def _spectral_partials(lam: np.ndarray, k: int, mode: str):
+    """Operator values (...) and per-eigenvalue partials d(phi)/d(lambda_p) (..., n)."""
+    n = lam.shape[-1]
     e = sigma_all(lam)
     drops = sigma_drop(lam)
     if mode == "primal":
-        sk = e[k]
-        if sk <= 0.0:
-            raise ConeViolationError(lam)
-        value = sk ** (1.0 / k)
+        sk = e[..., k]
+        bad = sk <= 0.0
+        if np.count_nonzero(bad):
+            raise ConeViolationError(_first(lam, bad))
+        value = np.float_power(sk, 1.0 / k)
         # d sigma_k / d lambda_p = sigma_{k-1}(lambda with p removed)
-        phi = (value / (k * sk)) * drops[:, k - 1]
+        phi = (value / (k * sk))[..., None] * drops[..., k - 1]
         return value, phi
-    sn, snk = e[n], e[n - k]
-    if sn <= 0.0 or snk <= 0.0:
-        raise ConeViolationError(lam)
-    ratio = sn / snk
-    value = ratio ** (1.0 / k)
-    dsn = drops[:, n - 1]
-    dsnk = drops[:, n - k - 1] if n - k >= 1 else np.zeros(n)
-    phi = (value / k) * (dsn / sn - dsnk / snk)
+    sn, snk = e[..., n], e[..., n - k]
+    bad = (sn <= 0.0) | (snk <= 0.0)
+    if np.count_nonzero(bad):
+        raise ConeViolationError(_first(lam, bad))
+    value = np.float_power(sn / snk, 1.0 / k)
+    dsn = drops[..., n - 1]
+    dsnk = drops[..., n - k - 1] if n - k >= 1 else np.zeros(lam.shape)
+    phi = (value / k)[..., None] * (dsn / sn[..., None] - dsnk / snk[..., None])
     return value, phi
 
 
 def _merge_degenerate(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Average partials over near-degenerate eigenvalue clusters.
+    """Average partials over near-degenerate eigenvalue clusters, per spectrum.
 
     For a symmetric spectral function the first divided difference of phi
     tends to the common partial as the gap closes; averaging inside a cluster
     is that limit and keeps the matrix gradient stable when eigenvectors are
-    ill-conditioned.
+    ill-conditioned.  lam, phi (..., n); only spectra with a cluster are
+    visited.
     """
-    gap = DEGENERATE_GAP * max(np.abs(lam).max(), 1e-300)
+    n = lam.shape[-1]
+    gap = DEGENERATE_GAP * np.maximum.reduce(np.abs(lam), axis=-1, initial=1e-300)
+    close = ~(lam[..., 1:] - lam[..., :-1] > gap[..., None])
+    if not np.count_nonzero(close):
+        return phi
     phi = phi.copy()
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[i - 1] > gap:
-            if i - start > 1:
-                phi[start:i] = phi[start:i].mean()
-            start = i
+    rows_lam, rows_phi = lam.reshape(-1, n), phi.reshape(-1, n)
+    for r in np.flatnonzero(close.reshape(-1, n - 1).any(axis=-1)):
+        row_lam, row_phi, row_gap = rows_lam[r], rows_phi[r], gap.reshape(-1)[r]
+        start = 0
+        for i in range(1, n + 1):
+            if i == n or row_lam[i] - row_lam[i - 1] > row_gap:
+                if i - start > 1:
+                    row_phi[start:i] = row_phi[start:i].mean()
+                start = i
     return phi
 
 
@@ -194,16 +300,17 @@ def eval_operator(req: SpectrumRequest) -> OperatorValue:
 
     The gradient is V diag(dphi/dlambda) V^T from the Jacobi decomposition;
     near-degenerate eigenvalue pairs take the divided-difference (cluster
-    averaged) partials.  Raises ConeViolationError when the spectrum leaves
-    the positive cone.
+    averaged) partials.  Raises ConeViolationError when a spectrum leaves
+    the positive cone.  Fields carry req.A's leading axes.
     """
     lam, v = jacobi_eigh(req.A)
-    if lam[0] <= 0.0:
-        raise ConeViolationError(lam)
+    bad = lam[..., 0] <= 0.0
+    if np.count_nonzero(bad):
+        raise ConeViolationError(_first(lam, bad))
     value, phi = _spectral_partials(lam, req.k, req.mode)
     phi = _merge_degenerate(lam, phi)
-    grad = (v * phi) @ v.T
-    grad = 0.5 * (grad + grad.T)
+    grad = (v * phi[..., None, :]) @ v.swapaxes(-1, -2)
+    grad = 0.5 * (grad + grad.swapaxes(-1, -2))
     return OperatorValue(value=value, gradient=grad, eigenvalues=lam)
 
 
@@ -236,13 +343,18 @@ def sigma_k_matrix_gradient(a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def duality_product(kappa: np.ndarray, k: int) -> float:
-    """F_primal(diag kappa) * F_dual(diag 1/kappa); identically 1 in exact arithmetic."""
-    kappa = np.asarray(kappa, dtype=float).ravel()
-    if np.any(kappa <= 0.0):
-        raise ConeViolationError(np.sort(kappa))
-    primal = eval_operator(SpectrumRequest(np.diag(kappa), k, "primal"))
-    dual = eval_operator(SpectrumRequest(np.diag(1.0 / kappa), k, "dual"))
+def duality_product(kappa: np.ndarray, k: int):
+    """F_primal(diag kappa) * F_dual(diag 1/kappa); identically 1 in exact arithmetic.
+
+    kappa (..., n) gives (...).
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    bad = np.any(kappa <= 0.0, axis=-1)
+    if bad.any():
+        raise ConeViolationError(np.sort(_first(kappa, bad)))
+    eye = np.eye(kappa.shape[-1])
+    primal = eval_operator(SpectrumRequest(kappa[..., None] * eye, k, "primal"))
+    dual = eval_operator(SpectrumRequest((1.0 / kappa)[..., None] * eye, k, "dual"))
     return primal.value * dual.value
 
 

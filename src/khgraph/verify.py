@@ -6,6 +6,11 @@ geometry identities, 'duality' the projection/support/Legendre layer,
 'rotations' the flow fields (dimension-generic, exercised at n = 2 and 3).
 The full pytest suite is the authoritative gate; these are the fast,
 machine-readable subset the harness exposes.
+
+The sample-heavy checks draw their samples one at a time in the order the
+seed fixes, group them by dimension (and order k) keeping draw order, and
+evaluate each group with one batched kernel call.  A batch row is bit for bit
+the one-sample call, so the details match those of a per-sample loop.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bodies, duality, geometry, rotations, symfun
-from .geometry import Jet2
+from .geometry import Jet2, Jets
 from .meshfree import central_difference_jet
 from .psi import constant_psi
 
@@ -25,26 +30,46 @@ def _random_convex_jet(rng, n=2):
                 rng.normal(size=n) * 0.6, h)
 
 
+def _stack(jets):
+    """One Jets batch and its points (m, n) from Jet2 of one dimension."""
+    return (Jets(np.array([j.value for j in jets]), np.array([j.gradient for j in jets]),
+                 np.array([j.hessian for j in jets])),
+            np.array([j.point for j in jets]))
+
+
+def _convex_jets_by_n(rng, count):
+    """count random convex jets of dimension 2..4, grouped by n in draw order."""
+    by_n = {}
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        by_n.setdefault(n, []).append(_random_convex_jet(rng, n))
+    return by_n
+
+
 # --- identities suite -------------------------------------------------------
 
 
 def check_newton_maclaurin(seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    by_n = {}
     for _ in range(2000):
         n = int(rng.integers(2, 7))
-        lam = rng.uniform(0.05, 3.0, n)
-        vals = [
-            (symfun.sigma_k(lam, k) / symfun.binomial(n, k)) ** (1.0 / k)
+        by_n.setdefault(n, []).append(rng.uniform(0.05, 3.0, n))
+    worst = 0.0
+    for n, lams in by_n.items():
+        lam = np.array(lams)
+        # float_power: libm's pow, the scalar ** of a single sample
+        vals = np.stack([
+            np.float_power(symfun.sigma_k(lam, k) / symfun.binomial(n, k), 1.0 / k)
             for k in range(1, n + 1)
-        ]
-        worst = max(worst, max(np.diff(vals)))
+        ], axis=-1)
+        worst = max(worst, np.diff(vals, axis=-1).max())
     return worst <= 1e-12, f"max increase {worst:.2e}"
 
 
 def check_operator_concavity(seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    by_nk = {}
     for _ in range(100):
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, n + 1))
@@ -53,64 +78,65 @@ def check_operator_concavity(seed):
             b = rng.normal(size=(n, n))
             mats.append(b @ b.T + 0.3 * np.eye(n))
         t = rng.uniform()
-        mid = t * mats[0] + (1 - t) * mats[1]
+        by_nk.setdefault((n, k), []).append((t, t * mats[0] + (1 - t) * mats[1], *mats))
+    worst = 0.0
+    for (n, k), samples in by_nk.items():
+        t, mid, m0, m1 = (np.array(x) for x in zip(*samples))
         for mode in ("primal", "dual"):
-            fm = symfun.eval_operator(symfun.SpectrumRequest(mid, k, mode)).value
-            f0 = symfun.eval_operator(symfun.SpectrumRequest(mats[0], k, mode)).value
-            f1 = symfun.eval_operator(symfun.SpectrumRequest(mats[1], k, mode)).value
-            worst = max(worst, t * f0 + (1 - t) * f1 - fm)
+            fm, f0, f1 = symfun.eval_operator(
+                symfun.SpectrumRequest(np.stack([mid, m0, m1]), k, mode)
+            ).value
+            worst = max(worst, (t * f0 + (1 - t) * f1 - fm).max())
     return worst <= 1e-12, f"max convexity defect {worst:.2e}"
 
 
 def check_duality_product(seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    by_nk = {}
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, n + 1))
-        kappa = rng.uniform(0.05, 4.0, n)
-        worst = max(worst, abs(symfun.duality_product(kappa, k) - 1.0))
+        by_nk.setdefault((n, k), []).append(rng.uniform(0.05, 4.0, n))
+    worst = 0.0
+    for (n, k), kappas in by_nk.items():
+        worst = max(worst, np.abs(symfun.duality_product(np.array(kappas), k) - 1.0).max())
     return worst <= 1e-12, f"max |F F* - 1| = {worst:.2e}"
 
 
 def check_orthogonal_invariance(seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    by_nk = {}
     for _ in range(50):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
         b = rng.normal(size=(n, n))
         a = b @ b.T + 0.5 * np.eye(n)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        f1 = symfun.eval_operator(symfun.SpectrumRequest(a, k, "primal")).value
-        f2 = symfun.eval_operator(
-            symfun.SpectrumRequest(q.T @ a @ q, k, "primal")
-        ).value
-        worst = max(worst, abs(f1 - f2))
+        by_nk.setdefault((n, k), []).append((a, q.T @ a @ q))
+    worst = 0.0
+    for (n, k), pairs in by_nk.items():
+        f = symfun.eval_operator(symfun.SpectrumRequest(np.array(pairs), k, "primal")).value
+        worst = max(worst, np.abs(f[:, 0] - f[:, 1]).max())
     return worst <= 1e-12, f"max |F(QtAQ) - F(A)| = {worst:.2e}"
 
 
 def check_curvature_pack_identities(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        jet = _random_convex_jet(rng, n)
-        pk = geometry.curvature_pack(jet)
-        worst = max(worst, np.abs(pk.b @ pk.b - pk.g_inv).max())
-        worst = max(worst, np.abs(pk.b @ pk.b_inv - np.eye(n)).max())
+    for n, jets in _convex_jets_by_n(rng, 100).items():
+        pk = geometry.curvature_pack(_stack(jets)[0])
+        worst = max(worst, np.abs(pk.b @ pk.b - pk.g_inv).max(),
+                    np.abs(pk.b @ pk.b_inv - np.eye(n)).max())
     return worst <= 1e-12, f"max b-identity defect {worst:.2e}"
 
 
 def check_shape_operator_similarity(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        jet = _random_convex_jet(rng, n)
-        pk = geometry.curvature_pack(jet)
+    for jets in _convex_jets_by_n(rng, 100).values():
+        pk = geometry.curvature_pack(_stack(jets)[0])
         shape = pk.second_form @ pk.g_inv
-        kappa2 = np.sort(np.linalg.eigvals(shape).real)
+        kappa2 = np.sort(np.linalg.eigvals(shape).real, axis=-1)
         worst = max(worst, np.abs(pk.kappa - kappa2).max())
     return worst <= 1e-10, f"max spectrum gap {worst:.2e}"
 
@@ -118,7 +144,7 @@ def check_shape_operator_similarity(seed):
 def check_rotation_invariance_residual(seed):
     rng = np.random.default_rng(seed)
     ps = constant_psi(1.3)
-    worst = 0.0
+    by_nk = {}
     for _ in range(50):
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, n + 1))
@@ -126,9 +152,12 @@ def check_rotation_invariance_residual(seed):
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         jet_rot = Jet2(q.T @ jet.point, jet.value, q.T @ jet.gradient,
                        q.T @ jet.hessian @ q)
-        r1 = geometry.primal_residual(jet, k, ps)
-        r2 = geometry.primal_residual(jet_rot, k, ps)
-        worst = max(worst, abs(r1 - r2))
+        by_nk.setdefault((n, k), []).append((jet, jet_rot))
+    worst = 0.0
+    for (n, k), pairs in by_nk.items():
+        jets, points = _stack([j for pair in pairs for j in pair])
+        r = geometry.primal_residual(jets, k, ps, points)
+        worst = max(worst, np.abs(r[0::2] - r[1::2]).max())
     return worst <= 1e-12, f"max residual change {worst:.2e}"
 
 
@@ -176,62 +205,64 @@ def check_linearization_fd(seed):
 def check_bstar_square_root(seed):
     """b* is the positive square root of I + y y^T with b*_inv its inverse."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    min_eig = np.inf
+    by_n = {}
     for _ in range(200):
         n = int(rng.integers(2, 5))
-        y = rng.normal(size=n) * 2.0
+        by_n.setdefault(n, []).append(rng.normal(size=n) * 2.0)
+    worst = 0.0
+    min_eig = np.inf
+    for n, ys in by_n.items():
+        y = np.array(ys)
         b = duality.bstar(y)
-        worst = max(worst, np.abs(b @ b - (np.eye(n) + np.outer(y, y))).max())
-        worst = max(worst, np.abs(b @ duality.bstar_inv(y) - np.eye(n)).max())
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(b)[0]))
+        outer = y[:, :, None] * y[:, None, :]
+        worst = max(worst, np.abs(b @ b - (np.eye(n) + outer)).max(),
+                    np.abs(b @ duality.bstar_inv(y) - np.eye(n)).max())
+        min_eig = min(min_eig, np.linalg.eigvalsh(b)[:, 0].min())
     ok = worst <= 1e-12 and min_eig > 0.0
     return ok, f"identity defect {worst:.2e}, min eig {min_eig:.2e}"
 
 
 def check_projection_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    by_n = {}
     for _ in range(1000):
         n = int(rng.integers(2, 5))
-        y = rng.normal(size=n) * 2.0
-        worst = max(
-            worst, np.abs(duality.project(duality.unproject(y)) - y).max()
-        )
+        by_n.setdefault(n, []).append(rng.normal(size=n) * 2.0)
+    worst = 0.0
+    for ys in by_n.values():
+        y = np.array(ys)
+        worst = max(worst, np.abs(duality.project(duality.unproject(y)) - y).max())
     return worst <= 1e-13, f"max roundtrip gap {worst:.2e}"
 
 
 def check_gauss_chart_consistency(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        jet = _random_convex_jet(rng, n)
-        pk = geometry.curvature_pack(jet)
+    for jets in _convex_jets_by_n(rng, 200).values():
+        batch = _stack(jets)[0]
+        pk = geometry.curvature_pack(batch)
         worst = max(
             worst,
-            np.abs(duality.project(pk.normal) - duality.gauss_image(jet)).max(),
+            np.abs(duality.project(pk.normal) - duality.gauss_image(batch)).max(),
         )
     return worst <= 1e-13, f"max P(N) vs Du gap {worst:.2e}"
 
 
 def check_reciprocal_spectrum(seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        jet = _random_convex_jet(rng, 2)
-        pk = geometry.curvature_pack(jet)
-        y = jet.gradient
-        dual_jet = Jet2(
-            point=y,
-            value=jet.point @ y - jet.value,
+    jets = [_random_convex_jet(rng, 2) for _ in range(100)]
+    kappa = geometry.curvature_pack(_stack(jets)[0]).kappa
+    dual_jets = [
+        Jet2(
+            point=jet.gradient,
+            value=jet.point @ jet.gradient - jet.value,
             gradient=jet.point,
             hessian=np.linalg.inv(jet.hessian),
         )
-        pack = duality.dual_chart_pack(dual_jet)
-        worst = max(
-            worst, np.abs(pack.radii - np.sort(1.0 / pk.kappa)).max()
-        )
+        for jet in jets
+    ]
+    pack = duality.dual_chart_pack(*_stack(dual_jets))
+    worst = np.abs(pack.radii - np.sort(1.0 / kappa, axis=-1)).max()
     return worst <= 1e-10, f"max radii vs 1/kappa gap {worst:.2e}"
 
 
@@ -290,10 +321,11 @@ def check_psi_star_monotone(seed):
     for eps in (0.0, 0.1, 0.5):
         ps = exponential_psi(eps, base)
         _, star = duality.psi_conversions(ps)
+        ys, zs = [], []
         for _ in range(100):
-            y = rng.normal(size=2)
-            z = rng.normal() * 2
-            worst = min(worst, float(star.partial_z(y, z)))
+            ys.append(rng.normal(size=2))
+            zs.append(rng.normal() * 2)
+        worst = min(worst, star.partial_z(np.array(ys), np.array(zs)).min())
     return worst >= -1e-12, f"min psi*_z = {worst:.2e}"
 
 
@@ -333,14 +365,17 @@ def check_tangency(seed):
 def check_group_law(seed):
     rng = np.random.default_rng(seed)
     fld, _ = _random_field(rng, 2)
-    worst = 0.0
+    ts, ss, ys = [], [], []
     for _ in range(1000):
         t, s = rng.uniform(0, fld.t_max / 2, 2)
-        y = rng.normal(size=2) * 0.5
-        a = rotations.flow(fld, t + s, y)
-        b = rotations.flow(fld, t, rotations.flow(fld, s, y))
-        c = rotations.flow(fld, s, rotations.flow(fld, t, y))
-        worst = max(worst, np.abs(a - b).max(), np.abs(a - c).max())
+        ts.append(t)
+        ss.append(s)
+        ys.append(rng.normal(size=2) * 0.5)
+    t, s, y = np.array(ts), np.array(ss), np.array(ys)
+    a = rotations.flow(fld, t + s, y)
+    b = rotations.flow(fld, t, rotations.flow(fld, s, y))
+    c = rotations.flow(fld, s, rotations.flow(fld, t, y))
+    worst = max(np.abs(a - b).max(), np.abs(a - c).max())
     return worst <= 1e-10, f"max group-law defect {worst:.2e}"
 
 
@@ -350,11 +385,10 @@ def check_envelope(seed):
     for _ in range(20):
         dim = 2 if rng.uniform() < 0.7 else 3
         fld, _ = _random_field(rng, dim)
-        for _ in range(50):
-            y = rng.normal(size=dim) * rng.uniform(0, 2)
-            e = rotations.envelope_terms(fld, y)
-            worst_id = max(worst_id, abs(e["lhs"] - e["identity"]))
-            worst_bound = max(worst_bound, e["lhs"] - e["bound"])
+        y = np.array([rng.normal(size=dim) * rng.uniform(0, 2) for _ in range(50)])
+        e = rotations.envelope_terms(fld, y)
+        worst_id = max(worst_id, np.abs(e["lhs"] - e["identity"]).max())
+        worst_bound = max(worst_bound, (e["lhs"] - e["bound"]).max())
     ok = worst_id <= 1e-12 and worst_bound <= 1e-12
     return ok, f"identity gap {worst_id:.2e}, bound excess {worst_bound:.2e}"
 
@@ -365,11 +399,8 @@ def check_flow_derivative(seed):
     ys = rng.normal(size=(30, 2)) * 0.5
     errs = []
     for dt in (1e-3, 5e-4):
-        worst = 0.0
-        for y in ys:
-            fd = (rotations.flow(fld, dt, y) - rotations.flow(fld, -dt, y)) / (2 * dt)
-            worst = max(worst, np.abs(fd - rotations.field_eval(fld, y)).max())
-        errs.append(worst)
+        fd = (rotations.flow(fld, dt, ys) - rotations.flow(fld, -dt, ys)) / (2 * dt)
+        errs.append(np.abs(fd - rotations.field_eval(fld, ys)).max())
     ratio = errs[0] / max(errs[1], 1e-300)
     return 3.0 <= ratio <= 5.0, f"O(dt^2) ratio {ratio:.2f}"
 
@@ -382,7 +413,7 @@ def check_degree_two(seed):
         y = rng.normal(size=2)
         d = rng.normal(size=2)
         h = 0.41
-        vals = np.stack([rotations.field_eval(fld, y + m * h * d) for m in range(4)])
+        vals = rotations.field_eval(fld, y + np.arange(4)[:, None] * h * d)
         third = vals[3] - 3 * vals[2] + 3 * vals[1] - vals[0]
         worst = max(worst, np.abs(third).max())
     return worst <= 1e-10, f"max third difference {worst:.2e}"

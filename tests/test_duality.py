@@ -67,6 +67,19 @@ class TestProjection:
             duality.project(np.array([0.6, 0.0, -0.8]))
 
 
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 4, 4)])
+    def test_batch_matches_pointwise(self, shape):
+        ys = np.random.default_rng(2).normal(size=shape) * 2
+        xs = duality.unproject(ys)
+        batch = duality.project(xs)
+        assert batch.shape == shape
+        for i in np.ndindex(shape[:-1]):
+            assert np.array_equal(batch[i], duality.project(xs[i]))
+        xs[1, ..., -1] *= -1.0
+        with pytest.raises(ValueError):
+            duality.project(xs)
+
+
 class TestGaussImage:
     def test_paraboloid_identity_map(self):
         jet = Jet2(np.array([0.3, -0.2]), 0.065, np.array([0.3, -0.2]), np.eye(2))
@@ -325,6 +338,28 @@ class TestChartMatrices:
             np.testing.assert_allclose(
                 a[i], duality.argument_matrix(ys[i], hs[i]), rtol=0, atol=1e-15
             )
+
+
+    @pytest.mark.parametrize("shape", [(7, 2), (3, 4, 3)])
+    def test_metric_and_bstar_inverse_batch_rows_equal_single_calls(self, shape):
+        ys = np.random.default_rng(14).normal(size=shape)
+        g = duality.chart_metric_inv(ys)
+        b_inv = duality.bstar_inv(ys)
+        assert g.shape == b_inv.shape == shape + (shape[-1],)
+        for i in np.ndindex(shape[:-1]):
+            assert np.array_equal(g[i], duality.chart_metric_inv(ys[i]))
+            assert np.array_equal(b_inv[i], duality.bstar_inv(ys[i]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_christoffel_closed_form_matches_loop(self, n):
+        y = np.random.default_rng(15 + n).normal(size=n)
+        w2 = 1.0 + y @ y
+        loop = np.zeros((n, n, n))
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    loop[k, i, j] = -(y[i] * (k == j) + y[j] * (k == i)) / w2
+        assert np.array_equal(duality.christoffel(y), loop)
 
 
 class TestSphericalHessian:

@@ -278,3 +278,29 @@ class TestObliqueness:
         nu = -x / rho
         chi_def, chi_formula = geometry.obliqueness_chi(cap_jet(x, radius), nu, target)
         assert chi_def == pytest.approx(chi_formula, rel=1e-10)
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 4)], ids=["7", "3x4"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batch_rows_equal_single_jets(n, lead):
+    rng = np.random.default_rng(300 + n)
+    jets = [random_convex_jet(rng, n) for _ in range(int(np.prod(lead)))]
+    batch = geometry.Jets(
+        np.array([j.value for j in jets]),
+        np.stack([j.gradient for j in jets]),
+        np.stack([j.hessian for j in jets]),
+    ).reshape(lead)
+    points = np.stack([j.point for j in jets]).reshape(lead + (n,))
+    pack = geometry.curvature_pack(batch)
+    psi = normal_poly_psi(3.0, linear=rng.uniform(-0.2, 0.2, n + 1))
+    orders = sorted({1, (n + 1) // 2, n})
+    residual = {k: geometry.primal_residual(batch, k, psi, points) for k in orders}
+    support = geometry.support_value(batch, points)
+    for i, idx in enumerate(np.ndindex(*lead)):
+        one = geometry.curvature_pack(jets[i])
+        for field in ("w", "g", "g_inv", "b", "b_inv", "normal", "second_form",
+                      "curvature_matrix", "kappa"):
+            assert np.array_equal(getattr(pack, field)[idx], getattr(one, field)), field
+        assert support[idx] == geometry.support_value(jets[i])
+        for k in orders:
+            assert residual[k][idx] == geometry.primal_residual(jets[i], k, psi)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from khgraph import bodies, cli, duality, harness, report, solver, verify
+from khgraph import bodies, cli, duality, harness, report, rotations, solver, verify
 from khgraph.config import parse_config
 from khgraph.errors import (
     ConfigError,
@@ -264,6 +264,21 @@ class TestCli:
         rows = [ln for ln in lines if not ln.startswith("#")][1:]
         assert len(rows) == 5
 
+    def test_field_rows_equal_per_t_calls(self, tmp_path):
+        out = tmp_path / "field.csv"
+        args = ["field", "--y0", "0.3,0.4", "--xi=-0.8,0.6", "--body", "ball:0.5",
+                "--out", str(out), "--t-samples", "9"]
+        assert cli.main(args) == 0
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        body = bodies.ball(0.5)
+        fld = rotations.make_field(np.array([0.3, 0.4]), np.array([-0.8, 0.6]), body)
+        ts = np.linspace(0.0, fld.t_max, 9)
+        assert len(rows) == ts.size
+        for row, t in zip(rows, ts):
+            yt = rotations.flow(fld, t, fld.y0)
+            tv = rotations.field_eval(fld, yt)
+            assert row == ",".join(f"{v:.17g}" for v in (t, yt[0], yt[1], tv[0], tv[1]))
+
     @pytest.mark.parametrize(
         "body, y0, xi, t_samples",
         [
@@ -339,6 +354,12 @@ class TestVerify:
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             verify.run_verify("nonsense")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_all_suites_pass(self, seed):
+        rep = verify.run_verify("all", seed)
+        assert len(rep["checks"]) == sum(len(c) for c in verify.SUITES.values())
+        assert rep["all_passed"], [c for c in rep["checks"] if not c["passed"]]
 
 
 def test_benchmark_trace_targets_resolve():

@@ -25,6 +25,17 @@ def ellipse_field(theta=0.83):
     return rotations.make_field(y0, xi, body), body
 
 
+def ball_field(rng, dim):
+    """A field anchored at a random boundary point of a ball in R^dim."""
+    body = bodies.ball(0.5 + 0.3 * rng.uniform(), dim=dim)
+    d = rng.normal(size=dim)
+    d /= np.linalg.norm(d)
+    y0 = body.interior_point + body.params["radius"] * d
+    t = rng.normal(size=dim)
+    t -= (t @ d) * d
+    return rotations.make_field(y0, t / np.linalg.norm(t), body), body
+
+
 class TestMakeField:
     def test_origin_anchor_frame(self):
         # y0 = 0: x0 is the north pole, e1 the negated first axis, T(0) = xi
@@ -136,6 +147,36 @@ class TestFlow:
         fld = rotations.make_field(np.zeros(2), np.array([0.0, 1.0]), body)
         with pytest.raises(HemisphereExitError):
             rotations.flow(fld, 1.57, np.array([0.0, 50.0]))
+
+    @pytest.mark.parametrize("lead", [(7,), (3, 4)], ids=["7", "3x4"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_batch_rows_equal_single_calls(self, n, lead):
+        rng = np.random.default_rng(400 + n)
+        fld, _ = ball_field(rng, n)
+        t = rng.uniform(-fld.t_max, fld.t_max, lead)
+        y = rng.normal(size=lead + (n,)) * 0.4
+        batch = rotations.flow(fld, t, y)
+        at_y0 = rotations.flow(fld, t, fld.y0)
+        env = rotations.envelope_terms(fld, y)
+        assert batch.shape == at_y0.shape == lead + (n,)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(batch[idx], rotations.flow(fld, t[idx], y[idx]))
+            assert np.array_equal(at_y0[idx], rotations.flow(fld, t[idx], fld.y0))
+            one = rotations.envelope_terms(fld, y[idx])
+            for key, value in one.items():
+                assert env[key][idx] == value, key
+
+    def test_batch_exit_names_first_exiting_item(self):
+        body = bodies.ball(0.5, center=[0.5, 0.0])
+        fld = rotations.make_field(np.zeros(2), np.array([0.0, 1.0]), body)
+        t = np.array([0.1, 0.2, 1.55, 0.3, 1.57])
+        y = np.array([[0.0, 0.1], [0.0, 0.2], [0.0, 50.0], [0.0, 0.3], [0.0, 60.0]])
+        with pytest.raises(HemisphereExitError) as err:
+            rotations.flow(fld, t, y)
+        assert err.value.t == 1.55
+        with pytest.raises(HemisphereExitError) as one:
+            rotations.flow(fld, 1.55, y[2])
+        assert err.value.denominator == one.value.denominator
 
     def test_inverse_flow_by_negative_time(self):
         fld, _ = ellipse_field()
@@ -251,6 +292,17 @@ class TestFieldEval:
             )
             third = vals[3] - 3 * vals[2] + 3 * vals[1] - vals[0]
             assert np.abs(third).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_polynomial_quadratic_tensor_matches_loop(self, n):
+        fld, _ = ball_field(np.random.default_rng(500 + n), n)
+        c, _, q = rotations.field_polynomial(fld)
+        loop = np.zeros((n, n, n))
+        for m in range(n):
+            for j in range(n):
+                for k in range(n):
+                    loop[m, j, k] = 0.5 * ((m == j) * c[k] + (m == k) * c[j])
+        assert np.array_equal(q, loop)
 
     def test_polynomial_coefficients_reproduce_field(self):
         fld, _ = ellipse_field()

@@ -212,3 +212,134 @@ def test_asymmetric_input_rejected():
     bad = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
         SpectrumRequest(bad, 1, "primal")
+
+
+# --- batch contract ---------------------------------------------------------
+
+
+def _scalar_jacobi(a):
+    """The one-matrix cyclic Jacobi iteration, kept as the oracle of the batched one."""
+    a = np.asarray(a, dtype=float)
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    v = np.eye(n)
+    norm = max(np.linalg.norm(a), 1e-300)
+    for _ in range(60):
+        off = np.linalg.norm(a - np.diag(np.diag(a)))
+        if off <= 1e-13 * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                if theta == 0.0:
+                    t = 1.0
+                elif abs(theta) > 1e150:
+                    t = 0.5 / theta
+                else:
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    lam = np.diag(a).copy()
+    order = np.argsort(lam)
+    return lam[order], v[:, order]
+
+
+def _batch_inputs(n, lead, rng):
+    """SPD matrices of shape lead + (n, n), with a diagonal item (every pair
+    skipped), a near-degenerate one (the cluster-merge branch), a conjugated
+    near-degenerate one and a block-diagonal one (some pairs skipped)."""
+    count = int(np.prod(lead))
+    mats = []
+    for _ in range(count):
+        b = rng.normal(size=(n, n))
+        mats.append(b @ b.T + 0.3 * np.eye(n))
+    near = np.diag(1.0 + 1e-10 * np.arange(n))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    block = np.eye(n)
+    block[: n // 2 + 1, : n // 2 + 1] = mats[0][: n // 2 + 1, : n // 2 + 1]
+    special = [np.diag(rng.uniform(0.5, 2.0, n)), near, q @ near @ q.T, block]
+    mats[: len(special)] = special[: count]
+    mats = np.array(mats)
+    return (0.5 * (mats + np.swapaxes(mats, -1, -2))).reshape(lead + (n, n))
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 4)], ids=["7", "3x4"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batch_rows_equal_single_calls(n, lead):
+    rng = np.random.default_rng(100 + n)
+    a = _batch_inputs(n, lead, rng)
+    lam, vec = symfun.jacobi_eigh(a)
+    assert lam.shape == lead + (n,) and vec.shape == lead + (n, n)
+    kappa = rng.uniform(0.05, 4.0, lead + (n,))
+    drops = symfun.sigma_drop(kappa)
+    orders = sorted({1, (n + 1) // 2, n})  # the ends and the middle of the drop table
+    ops = {
+        (k, mode): symfun.eval_operator(SpectrumRequest(a, k, mode))
+        for k in orders for mode in ("primal", "dual")
+    }
+    products = {k: symfun.duality_product(kappa, k) for k in orders}
+    for idx in np.ndindex(*lead):
+        one_lam, one_vec = symfun.jacobi_eigh(a[idx])
+        assert np.array_equal(lam[idx], one_lam) and np.array_equal(vec[idx], one_vec)
+        assert np.array_equal(drops[idx], symfun.sigma_drop(kappa[idx]))
+        for k in range(1, n + 1):
+            assert symfun.sigma_k(kappa, k)[idx] == symfun.sigma_k(kappa[idx], k)
+        for k in orders:
+            assert products[k][idx] == symfun.duality_product(kappa[idx], k)
+            for mode in ("primal", "dual"):
+                one = symfun.eval_operator(SpectrumRequest(a[idx], k, mode))
+                batch = ops[k, mode]
+                assert batch.value[idx] == one.value
+                assert np.array_equal(batch.gradient[idx], one.gradient)
+                assert np.array_equal(batch.eigenvalues[idx], one.eigenvalues)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_jacobi_bit_identical_to_scalar_oracle(n):
+    rng = np.random.default_rng(200 + n)
+    a = _batch_inputs(n, (40,), rng)
+    lam, vec = symfun.jacobi_eigh(a)
+    for i in range(len(a)):
+        one_lam, one_vec = _scalar_jacobi(a[i])
+        assert np.array_equal(lam[i], one_lam)
+        assert np.array_equal(vec[i], one_vec)
+
+
+def test_batched_jacobi_freezes_converged_matrices():
+    # a diagonal matrix stops before the first sweep while the others rotate
+    rng = np.random.default_rng(9)
+    b = rng.normal(size=(5, 5))
+    a = np.stack([np.diag([3.0, 1.0, 2.0, 5.0, 4.0]), b @ b.T + np.eye(5)])
+    lam, vec = symfun.jacobi_eigh(a)
+    assert np.array_equal(lam[0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert np.array_equal(np.abs(vec[0]), np.eye(5)[:, [1, 2, 0, 4, 3]])
+    assert np.array_equal(lam[1], _scalar_jacobi(a[1])[0])
+
+
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+def test_batch_cone_violation_names_first_failing_item(mode):
+    a = np.stack([np.eye(3), np.diag([2.0, -0.5, 1.0]), np.diag([-1.0, 1.0, 1.0])])
+    with pytest.raises(ConeViolationError) as err:
+        symfun.eval_operator(SpectrumRequest(a, 2, mode))
+    assert np.array_equal(err.value.eigenvalues, [-0.5, 1.0, 2.0])
+    with pytest.raises(ConeViolationError) as err:
+        symfun.duality_product(np.array([[1.0, 2.0], [3.0, 0.0], [-1.0, 1.0]]), 1)
+    assert np.array_equal(err.value.eigenvalues, [0.0, 3.0])
+
+
+def test_batch_asymmetric_item_rejected():
+    a = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.2, 1.0]])])
+    with pytest.raises(ValueError):
+        SpectrumRequest(a, 1, "primal")
