@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridConstructionError
+from .meshfree import nearest
 
 
 def _direction(theta) -> np.ndarray:
@@ -158,8 +159,7 @@ class _DistanceBody:
         """
         p = np.asarray(p, dtype=float)
         q = p.reshape(-1, 2)
-        dist2 = ((self.scan_pts[None, :, :] - q[:, None, :]) ** 2).sum(axis=-1)
-        theta = self.scan_thetas[np.argmin(dist2, axis=1)]
+        theta = self.scan_thetas[nearest(self.scan_pts, q, 1)[:, 0]]
         live = np.arange(theta.size)
         for _ in range(60):
             x, t1, t2 = self.frame(theta[live])

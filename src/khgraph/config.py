@@ -46,23 +46,14 @@ _PSI_KEYS = {
 class ProblemConfig:
     dimension: int
     k: int
-    omega: dict
-    omega_star: dict
-    psi: dict
+    omega: bodies.ConvexBody
+    omega_star: bodies.ConvexBody
+    psi: psi.PsiSpec
     grid: tuple = DEFAULT_GRID
     continuation: list = field(default_factory=lambda: list(DEFAULT_EPS_SCHEDULE))
     tolerances: dict = field(
         default_factory=lambda: {"newton_tol": NEWTON_TOL, "spd_floor": SPD_FLOOR}
     )
-
-    def build_omega(self) -> bodies.ConvexBody:
-        return build_body(self.omega, "omega")
-
-    def build_omega_star(self) -> bodies.ConvexBody:
-        return build_body(self.omega_star, "omega_star")
-
-    def build_psi(self) -> psi.PsiSpec:
-        return build_psi(self.psi, "psi")
 
 
 def _check_keys(d: dict, checks: dict, where: str) -> None:
@@ -85,15 +76,11 @@ def build_body(spec: dict, where: str) -> bodies.ConvexBody:
         if "radius" not in spec or spec["radius"] <= 0:
             raise ConfigError(f"{where}.radius", "positive radius required")
         body = bodies.ball(spec["radius"], spec.get("center"))
+    elif not spec.get("semi_axes") or min(spec["semi_axes"]) <= 0:
+        raise ConfigError(f"{where}.semi_axes", "two positive semi-axes required")
     elif kind == "ellipse":
-        axes = spec.get("semi_axes")
-        if not axes or len(axes) != 2 or min(axes) <= 0:
-            raise ConfigError(f"{where}.semi_axes", "two positive semi-axes required")
-        body = bodies.ellipse(axes, spec.get("center"), spec.get("angle", 0.0))
+        body = bodies.ellipse(spec["semi_axes"], spec.get("center"), spec.get("angle", 0.0))
     else:
-        axes = spec.get("semi_axes")
-        if not axes or len(axes) != 2 or min(axes) <= 0:
-            raise ConfigError(f"{where}.semi_axes", "two positive semi-axes required")
         exponent = spec.get("exponent", 4.0)
         if exponent < 2.0:
             raise StrictConvexityError(
@@ -101,10 +88,10 @@ def build_body(spec: dict, where: str) -> bodies.ConvexBody:
                 f"exponent {exponent} < 2 fails the uniform-concavity probe",
             )
         body = bodies.superellipse(
-            axes, exponent, spec.get("center"), spec.get("blend", 0.1)
+            spec["semi_axes"], exponent, spec.get("center"), spec.get("blend", 0.1)
         )
     theta_c = body.concavity_probe(n_samples=60, rng=0)
-    if theta_c <= 1e-8:
+    if not theta_c > 1e-8:  # a NaN probe fails too
         raise StrictConvexityError(
             where, f"defining function not uniformly concave (theta_c = {theta_c:.2e})"
         )
@@ -147,8 +134,8 @@ def parse_config(text: str) -> ProblemConfig:
 
     Unknown keys and values of the wrong type are rejected anywhere in the
     document, and so is anything run_solve cannot take (dimension other than
-    2, a grid below MIN_GRID); body parameters are probed for strict
-    convexity at parse time so invalid shapes fail early.
+    2, a grid below MIN_GRID).  The config carries the bodies and psi, built
+    once here; each body's strict-convexity probe makes bad shapes fail early.
     """
     try:
         raw = json.loads(text)
@@ -209,18 +196,14 @@ def parse_config(text: str) -> ProblemConfig:
     if tolerances["newton_tol"] <= 0 or tolerances["spd_floor"] <= 0:
         raise ConfigError("tolerances", "tolerances must be positive")
 
-    cfg = ProblemConfig(
+    # building the bodies and psi is their validation
+    return ProblemConfig(
         dimension=dimension,
         k=k,
-        omega=raw["omega"],
-        omega_star=raw["omega_star"],
-        psi=raw["psi"],
+        omega=build_body(raw["omega"], "omega"),
+        omega_star=build_body(raw["omega_star"], "omega_star"),
+        psi=build_psi(raw["psi"], "psi"),
         grid=tuple(grid),
         continuation=list(continuation),
         tolerances=tolerances,
     )
-    # validate the specs eagerly (builds are cheap at parse scale)
-    cfg.build_omega()
-    cfg.build_omega_star()
-    cfg.build_psi()
-    return cfg

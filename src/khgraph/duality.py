@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import symfun
 from .errors import OutOfImageError
 from .geometry import Jet2, Jets
-from .meshfree import JetInterpolant
+from .meshfree import JetInterpolant, nearest
 from .psi import PsiSpec
 
 
@@ -345,7 +344,7 @@ def legendre(
     u*(y) = x(y).y - u(x(y)) with x(y) the Newton inverse of the gradient
     map, seeded from the sample whose gradient is nearest to y.  All targets
     go through one batched invert_gradient_map call, with their seeds from
-    one nearest-neighbour query; a failing target raises OutOfImageError
+    one meshfree.nearest search; a failing target raises OutOfImageError
     naming the first one.  Default targets are the gradient images of the
     sample points themselves, so the result is sampled on Du(domain).  The
     returned object carries exact dual jets through the inverse-Hessian
@@ -357,13 +356,10 @@ def legendre(
     if targets is None:
         targets = grads.copy()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    seed_tree = cKDTree(grads)
 
     def transform(ys: np.ndarray):
-        _, j = seed_tree.query(ys)
-        x, at, iters = invert_gradient_map(
-            jets, ys, f.points[j], tol=tol, stall_tol=stall_tol
-        )
+        seeds = f.points[nearest(grads, ys, 1)[:, 0]]
+        x, at, iters = invert_gradient_map(jets, ys, seeds, tol=tol, stall_tol=stall_tol)
         return x, (x * ys).sum(axis=-1) - at.value, at.hessian, iters
 
     xs, values, _, iters = transform(targets)

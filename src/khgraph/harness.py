@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -27,17 +28,14 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
     if cfg.dimension != 2:
         raise KHGraphError("the discrete solver is planar (dimension 2) only")
     os.makedirs(out_dir, exist_ok=True)
-    omega = cfg.build_omega()
-    omega_star = cfg.build_omega_star()
-    psi_base = cfg.build_psi()
     t0 = time.perf_counter()
-    grid = build_grid(omega_star, cfg.grid[0], cfg.grid[1])
+    grid = build_grid(cfg.omega_star, cfg.grid[0], cfg.grid[1])
     try:
         state = solver.continuation_solve(
             grid,
-            omega,
+            cfg.omega,
             cfg.k,
-            psi_base,
+            cfg.psi,
             eps_schedule=cfg.continuation,
             tol=cfg.tolerances["newton_tol"],
             spd_floor=cfg.tolerances["spd_floor"],
@@ -63,9 +61,8 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
     diag = solver.diagnostics(state, problem)
 
     csv_path = os.path.join(out_dir, "grid.csv")
-    du = grid.gradient(state.u_star)
-    radii = np.sort(np.linalg.eigvalsh(problem.argument_matrices(state.u_star)), axis=1)
-    write_grid_csv(csv_path, grid.nodes, state.u_star, du, radii)
+    radii = np.linalg.eigvalsh(problem.argument_matrices(state.u_star))  # ascending
+    write_grid_csv(csv_path, grid.nodes, state.u_star, recovery.points, radii)
 
     tol = cfg.tolerances["newton_tol"]
     report = SolveReport(
@@ -88,7 +85,5 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
         "grid_spacing": grid.spacing,
     }
     with open(os.path.join(out_dir, "details.json"), "w") as fh:
-        import json
-
         fh.write(json.dumps(report_extras, sort_keys=True, indent=2) + "\n")
     return report

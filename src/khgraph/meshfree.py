@@ -33,6 +33,10 @@ batch reproduces the one-patch weights bit for bit.  A single patch is the
 patches' sample values the same way, one patch at a time, so the jet
 oracles built on them (JetInterpolant here, GridJetInterpolant on grids)
 answer a batch of queries exactly as they answer each query alone.
+
+nearest is the package's one nearest-sample search: it picks the
+JetInterpolant patches and the Newton seeds of the Legendre transform, the
+primal recovery and the bodies' closest-point projection.
 """
 
 from __future__ import annotations
@@ -40,9 +44,32 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Jet2, Jets
+
+
+# entries of one chunk's query-to-sample distance table
+_NEAREST_TABLE = 1 << 22
+
+
+def nearest(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Indices (q, k) of the k samples (m, dim) nearest each query (q, dim), nearest first.
+
+    Exact brute force over squared distances, in chunks of queries whose
+    distance tables hold at most _NEAREST_TABLE entries.  k = 1 is argmin:
+    of equally near samples it picks the first.
+    """
+    out = np.empty((len(queries), k), dtype=np.intp)
+    step = max(1, _NEAREST_TABLE // len(points))
+    for s in range(0, len(queries), step):
+        dist2 = ((queries[s : s + step, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+        if k == 1:
+            out[s : s + step, 0] = np.argmin(dist2, axis=1)
+        else:
+            idx = np.argpartition(dist2, k - 1, axis=1)[:, :k]
+            order = np.take_along_axis(dist2, idx, axis=1).argsort(axis=1, kind="stable")
+            out[s : s + step] = np.take_along_axis(idx, order, axis=1)
+    return out
 
 
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
@@ -252,7 +279,6 @@ class JetInterpolant:
         self.degree = degree
         n_basis = monomial_exponents(self.dim, degree).shape[0]
         self.n_neighbors = min(self.points.shape[0], max(2 * n_basis, n_basis + 6))
-        self.tree = cKDTree(self.points)
 
     def jet(self, query: np.ndarray) -> Jets:
         """Jets of the local fits at query points (..., dim); one point is the 0-d case.
@@ -262,8 +288,7 @@ class JetInterpolant:
         """
         query = np.asarray(query, dtype=float)
         q = query.reshape(-1, self.dim)
-        _, idx = self.tree.query(q, k=self.n_neighbors)
-        idx = idx.reshape(q.shape[0], -1)
+        idx = nearest(self.points, q, self.n_neighbors)
         rows = jet_weight_rows(self.points[idx], q, self.degree)
         return patch_jets(rows, self.values[idx]).reshape(query.shape[:-1])
 

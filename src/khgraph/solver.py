@@ -53,6 +53,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .grid import Grid
+from .meshfree import nearest
 from .psi import PsiSpec, exponential_psi
 
 MAX_NEWTON_ITER = 200
@@ -517,8 +518,7 @@ def recover_primal(state: SolverState, problem: DualProblem) -> PrimalRecovery:
     thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
     bnd_x = problem.omega.boundary_param(thetas)
     images = du[grid.boundary_idx]
-    dist2 = ((bnd_x[:, None, :] - images[None, :, :]) ** 2).sum(axis=2)
-    seeds = grid.nodes[grid.boundary_idx[np.argmin(dist2, axis=1)]]
+    seeds = grid.nodes[grid.boundary_idx[nearest(images, bnd_x, 1)[:, 0]]]
     ys, _, _ = duality.invert_gradient_map(state.jets().jet, bnd_x, seeds, tol=1e-10)
     target = grid.body
     defect = float(np.abs(target.h(ys)).max())

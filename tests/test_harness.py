@@ -32,8 +32,8 @@ class TestParseConfig:
         assert cfg.grid == (64, 128)
         assert cfg.continuation == [0.4, 0.2, 0.1, 0.05, 0.025]
         assert cfg.tolerances == {"newton_tol": 1e-10, "spd_floor": 1e-8}
-        assert cfg.build_omega().kind == "ball"
-        assert cfg.build_psi().kind == "constant"
+        assert cfg.omega.kind == "ball"
+        assert cfg.psi.kind == "constant"
 
     def test_k_out_of_range(self):
         bad = dict(MINIMAL, k=3)
@@ -41,13 +41,17 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert err.value.key == "k"
 
-    def test_superellipse_exponent_rejected(self):
-        bad = dict(
-            MINIMAL,
-            omega={"kind": "superellipse", "semi_axes": [0.5, 0.4], "exponent": 1.5},
-        )
+    @pytest.mark.parametrize("key", ["omega", "omega_star"])
+    @pytest.mark.parametrize(
+        "change",
+        [{"exponent": 1.5}, {"blend": -3}, {"semi_axes": [1e300, 0.4]}, {"exponent": 1e300}],
+        ids=["exponent-1.5", "blend-minus-3", "huge-axis", "huge-exponent"],
+    )
+    def test_superellipse_exponent_rejected(self, key, change):
+        # the last three probe NaN, which must fail the probe as well
+        spec = {"kind": "superellipse", "semi_axes": [0.5, 0.4], "exponent": 4.0, **change}
         with pytest.raises(StrictConvexityError):
-            parse_config(json.dumps(bad))
+            parse_config(json.dumps(dict(MINIMAL, **{key: spec})))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -84,7 +88,7 @@ class TestParseConfig:
                 )
             )
         )
-        assert cfg.build_psi().kind == "exponential"
+        assert cfg.psi.kind == "exponential"
 
     def test_registry_instances_parse(self):
         for name in INSTANCES:
@@ -201,6 +205,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_nan_concavity_probe_exit_two_without_traceback(self, tmp_path, capsys):
+        spec = {"kind": "superellipse", "semi_axes": [0.5, 0.4], "blend": -3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**MINIMAL, "grid": [12, 24], "omega_star": spec}))
+        code = cli.main(["solve", "--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert any(line.startswith("config error:") for line in err.splitlines())
         assert "Traceback" not in err
 
     def test_unreachable_tolerance_exit_three(self, tmp_path):

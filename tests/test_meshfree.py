@@ -1,15 +1,21 @@
-"""The stencil fit against an independent full-system route, and on ill-posed patches."""
+"""The stencil fit against an independent full-system route, on ill-posed
+patches, and the nearest-sample search against a sorted distance table."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from khgraph import registry
+from khgraph import meshfree, registry
 from khgraph.grid import STENCIL_DEGREE, _logical_patch, build_grid
 from khgraph.meshfree import (
     _solve_longdouble,
     jet_functionals,
     jet_weight_rows,
     monomial_exponents,
+    nearest,
 )
 
 
@@ -95,7 +101,7 @@ def assert_exact_on_polynomials(points, centers, degree, tol):
 
 @pytest.mark.parametrize("instance", ["cap-k1", "superellipse-k2", "ellipse-k1"])
 def test_grid_rings_match_full_system_reference(instance):
-    g = build_grid(registry.INSTANCES[instance]().build_omega_star(), 16, 32)
+    g = build_grid(registry.INSTANCES[instance]().omega_star, 16, 32)
     rays = np.arange(g.n_theta)
     tol = 1e-11 * max(1.0, float(np.abs(g.nodes).max()))  # _validate_stencils' scale
     for j in range(1, g.n_r + 1):
@@ -160,3 +166,50 @@ def test_round_trip_worst_patch_returns_finite_weights():
     assert np.linalg.cond(gram64) > 1e16  # singular in float64
     for rows in jet_weight_rows(points, center, 2):
         assert np.isfinite(rows).all()
+
+
+def nearest_case(case):
+    """Samples and queries: scattered, on an integer lattice (exact distance
+    ties), more queries than one chunk holds, and no queries at all."""
+    rng = np.random.default_rng(11)
+    if case == "lattice":
+        points = np.stack(np.meshgrid(np.arange(9.0), np.arange(7.0)), axis=-1).reshape(-1, 2)
+        return points, np.concatenate([points[::5], points[::7] + 0.5])
+    points = rng.uniform(-1.0, 1.0, size=(60, 2))
+    n_queries = {"scattered": 40, "chunked": 50, "empty": 0}[case]
+    return points, rng.uniform(-1.2, 1.2, size=(n_queries, 2))
+
+
+@pytest.mark.parametrize("k", [1, 20])
+@pytest.mark.parametrize("case", ["scattered", "lattice", "chunked", "empty"])
+def test_nearest_matches_sorted_distance_table(monkeypatch, case, k):
+    points, queries = nearest_case(case)
+    if case == "chunked":
+        # chunks of 7 queries: the last chunk is a partial one
+        monkeypatch.setattr(meshfree, "_NEAREST_TABLE", 7 * len(points))
+    got = nearest(points, queries, k)
+    dist2 = ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    want = np.argsort(dist2, axis=1, kind="stable")
+    rows = np.arange(len(queries))[:, None]
+    assert got.shape == (len(queries), k)
+    # the same distances, nearest first, and k distinct samples per query
+    assert np.array_equal(dist2[rows, got], dist2[rows, want[:, :k]])
+    assert all(len(set(r)) == k for r in got.tolist())
+    # the same samples wherever the k-th and (k+1)-th distances differ
+    sorted2 = np.take_along_axis(dist2, want, axis=1)
+    apart = sorted2[:, k - 1] < sorted2[:, k]
+    assert np.array_equal(np.sort(got[apart], axis=1), np.sort(want[apart, :k], axis=1))
+    if k == 1:
+        assert np.array_equal(got[:, 0], np.argmin(dist2, axis=1))
+    if case == "lattice":
+        assert (~apart).any()  # the lattice does exercise ties at the k-th distance
+
+
+def test_package_import_leaves_scipy_spatial_out():
+    # a fresh interpreter, as perfbench/run.py times the import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import khgraph.config, khgraph.harness, khgraph.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

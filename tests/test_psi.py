@@ -72,9 +72,9 @@ def test_dual_psi_single_array_path_on_grid_nodes(eps):
     # the superellipse instance's normal-only psi on its 32x64 grid: a BLAS
     # product a.p rounds a few of these nodes differently alone and in a batch
     cfg = registry.get_instance("superellipse-k2")
-    y = build_grid(cfg.build_omega_star(), 32, 64).nodes
+    y = build_grid(cfg.omega_star, 32, 64).nodes
     z = np.random.default_rng(3).uniform(-2.0, -0.5, size=len(y))
-    star = DualPsi(exponential_psi(eps, cfg.build_psi()))
+    star = DualPsi(exponential_psi(eps, cfg.psi))
     assert_single_path(star.evaluate, y, z, (len(y),), ())
     assert_single_path(star.partial_z, y, z, (len(y),), ())
     assert_single_path(star.partial_y, y, z, (len(y),), (2,))
