@@ -2,20 +2,26 @@
 
 A body carries a defining function h with h > 0 inside, h = 0 and |Dh| = 1 on
 the boundary, and D^2 h bounded above by a negative multiple of the identity;
-Dh is then the interior unit normal field on the boundary.
+Dh is then the interior unit normal field on the boundary, and the boundary
+curvature at x is -tau^T D^2h(x) tau for the unit tangent tau.
 
 Every oracle broadcasts over leading axes, and a single point or angle is the
 0-d case of the same code: h, grad_h and hess_h take points (..., n) and
 return (...), (..., n) and (..., n, n); boundary_param and boundary_tangent
 take angles (...) and return (..., 2); gauge_radius maps (...) to (...).
+An angle theta is a polar angle about the interior point c: boundary_param(theta)
+is the boundary point on the ray c + t (cos theta, sin theta), t > 0, at
+distance gauge_radius(theta) from c.
 
 Construction: balls use the closed form (rho^2 - |p-c|^2)/(2 rho), which is
-globally smooth.  Other shapes use h = d - lambda d^2 / 2 built on the
-distance d to the boundary (closest-point projection): on the boundary Dh =
-Dd is the unit interior normal, and the -lambda/2 d^2 correction makes the
-normal direction uniformly concave.  d has the usual kink on the medial set
-deep inside the body; h stays continuous and concave there and nothing in the
-solver evaluates second derivatives near it.
+globally smooth.  Ellipses and superellipses are sublevel sets G <= 1 of one
+2-homogeneous gauge G, whose boundary frame (x, x', x'') along the polar
+angle is in closed form; on them h = d - lambda d^2 / 2 is built on the
+distance d to the boundary (closest-point projection by Newton on that
+frame): on the boundary Dh = Dd is the unit interior normal, and the
+-lambda/2 d^2 correction makes the normal direction uniformly concave.  d has
+the usual kink on the medial set deep inside the body; h stays continuous and
+concave there and nothing in the solver evaluates second derivatives near it.
 
 The superellipse kind blends the quartic gauge with a small elliptic term so
 the axis points keep strictly positive curvature (a pure exponent-q > 2
@@ -48,10 +54,11 @@ class ConvexBody:
     """A strictly convex planar (or ball: any-dimensional) domain.
 
     h/grad_h/hess_h is the defining-function oracle on points (..., dim);
-    boundary_param maps angles (...) to boundary points (..., 2);
-    gauge_radius is the Minkowski gauge distance from the interior point
-    along direction angles (...); sample_boundary(m) returns (m, dim)
-    boundary points.  All of them broadcast over leading axes.
+    boundary_param maps polar angles (...) about the interior point to the
+    boundary points on their rays (..., 2), and boundary_tangent to the unit
+    counter-clockwise tangents there; gauge_radius is the distance from the
+    interior point to that boundary point; sample_boundary(m) returns
+    (m, dim) boundary points.  All of them broadcast over leading axes.
     """
 
     kind: str
@@ -77,15 +84,10 @@ class ConvexBody:
         return float(-lam_max.max())
 
     def boundary_curvature(self, theta):
-        """Curvature of the boundary at parameter theta (finite differences)."""
-        dt = 1e-5
-        xm = self.boundary_param(theta - dt)
-        x0 = self.boundary_param(theta)
-        xp = self.boundary_param(theta + dt)
-        d1 = (xp - xm) / (2.0 * dt)
-        d2 = (xp - 2.0 * x0 + xm) / dt**2
-        cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        return cross / np.linalg.norm(d1, axis=-1) ** 3
+        """Boundary curvature -tau^T D^2h tau at angles theta (|Dh| = 1 there)."""
+        tau = self.boundary_tangent(theta)
+        hess = self.hess_h(self.boundary_param(theta))
+        return -np.einsum("...i,...ij,...j->...", tau, hess, tau)
 
 
 def ball(radius: float, center=None, dim: int = 2) -> ConvexBody:
@@ -140,7 +142,7 @@ def ball(radius: float, center=None, dim: int = 2) -> ConvexBody:
 
 
 class _DistanceBody:
-    """Closest-point machinery shared by the parametric planar bodies."""
+    """Closest-point machinery of the gauge bodies, on their boundary frame."""
 
     def __init__(self, boundary_frame, lam: float):
         # boundary point and its first two theta-derivatives, from one call
@@ -151,7 +153,7 @@ class _DistanceBody:
         self.scan_pts = boundary_frame(self.scan_thetas)[0]
 
     def closest_theta(self, p: np.ndarray) -> np.ndarray:
-        """Boundary parameter closest to each point (..., 2), shape (...).
+        """Polar angle of the boundary point closest to each point (..., 2), shape (...).
 
         Newton from the nearest scan sample; each point stops on its own when
         the second variation is not positive, its step is below 1e-15, or
@@ -205,11 +207,67 @@ class _DistanceBody:
         )
 
 
-def _parametric_body(kind, frame, center, gauge_radius, bounding, params):
-    # inradius estimate from gauge samples fixes the concavity weight lambda
-    rmin = gauge_radius(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)).min()
-    lam = 1.0 / (1.6 * rmin)
-    core = _DistanceBody(frame, lam)
+def _gauge_body(kind, center, semi_axes, q, mu, angle, params) -> ConvexBody:
+    """The body G <= 1 of the gauge G = (1-mu)(|v1|^q + |v2|^q)^(2/q) + mu |v|^2.
+
+    v = Q^T (p - c) / (a, b), with Q the rotation by angle.  G is
+    2-homogeneous, so the boundary point on the ray at polar angle theta is
+    x = c + r d with r = G(d)^(-1/2).  G's theta-derivatives follow from
+    d' = d_perp and d_perp' = -d, and with them r', r'' and the frame
+    x' = r' d + r d_perp, x'' = (r'' - r) d + 2 r' d_perp, all in closed
+    form.  The ellipse is q = 2 (G = |v|^2 for any mu), the superellipse
+    angle = 0.
+    """
+    a, b = (float(s) for s in semi_axes)
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("semi-axes must be positive")
+    c = np.zeros(2) if center is None else np.asarray(center, dtype=float).ravel()
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    scale, turn = np.array([a, b]), np.array([-1.0 / a, 1.0 / b])
+
+    def pair(x):
+        return x[..., 0] + x[..., 1]
+
+    def polar(theta):
+        """d, r, r'/r and (r'' - r)/r at angles theta.
+
+        Along d, v' = Q^T d_perp / (a, b) and v'' = -v.  With S the sum of
+        |v_i|^q and P = (1-mu) S^(2/q): G'/2 = P A + mu v.v' and
+        G''/2 + G = P ((2-q) A^2 + (q-1) B) + mu |v'|^2, where
+        A = sum |v_i|^(q-2) v_i v_i' / S and B = sum |v_i|^(q-2) v_i'^2 / S.
+        r = G^(-1/2) then gives r'/r = -G'/(2G) and
+        (r'' - r)/r = 3 (r'/r)^2 - (G''/2 + G)/G.
+        """
+        d = _direction(theta)
+        u = d @ rot  # Q^T d per point
+        v = u / scale
+        dv = u[..., ::-1] * turn
+        w = np.abs(v) ** (q - 2.0) * dv
+        s = pair(np.abs(v) ** q)
+        p = (1.0 - mu) * s ** (2.0 / q)
+        g = p + mu * pair(v * v)
+        slope = pair(v * w) / s  # A
+        r1 = -(p * slope + mu * pair(v * dv)) / g
+        curv = p * ((2.0 - q) * slope * slope + (q - 1.0) * pair(dv * w) / s)  # G''/2 + G
+        curv += mu * pair(dv * dv)
+        return d, 1.0 / np.sqrt(g), r1, 3.0 * r1 * r1 - curv / g
+
+    def frame(theta):
+        d, r, r1, r2 = polar(theta)
+        rd = r[..., None] * d
+        rdp = rd[..., ::-1] * [-1.0, 1.0]  # r d_perp
+        r1, r2 = r1[..., None], r2[..., None]
+        return c + rd, r1 * rd + rdp, r2 * rd + 2.0 * r1 * rdp
+
+    def gauge_radius(theta):
+        return polar(theta)[1]
+
+    # the inradius estimate fixes the concavity weight lambda
+    with np.errstate(all="ignore"):
+        radii = gauge_radius(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    if not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise ValueError(f"{kind} gauge is not finite and positive")
+    core = _DistanceBody(frame, 1.0 / (1.6 * radii.min()))
 
     def param(theta):
         return frame(theta)[0]
@@ -221,7 +279,7 @@ def _parametric_body(kind, frame, center, gauge_radius, bounding, params):
     return ConvexBody(
         kind=kind,
         dim=2,
-        interior_point=np.asarray(center, dtype=float),
+        interior_point=c,
         h=core.h,
         grad_h=core.grad_h,
         hess_h=core.hess_h,
@@ -229,38 +287,15 @@ def _parametric_body(kind, frame, center, gauge_radius, bounding, params):
         boundary_tangent=boundary_tangent,
         gauge_radius=gauge_radius,
         sample_boundary=_angle_sampler(param),
-        bounding_radius=bounding,
-        params=params,
+        bounding_radius=float(np.linalg.norm(c) + max(a, b)),
+        params={"semi_axes": [a, b], "center": c.tolist(), **params},
     )
 
 
 def ellipse(semi_axes, center=None, angle: float = 0.0) -> ConvexBody:
-    """Ellipse with given semi-axes, optionally rotated about its center."""
-    a, b = (float(s) for s in semi_axes)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("semi-axes must be positive")
-    c = np.zeros(2) if center is None else np.asarray(center, dtype=float).ravel()
-    q = np.array(
-        [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
-    )
-
-    def frame(theta):
-        # body-frame vectors (..., 2) rotate as u @ q.T, i.e. q @ u per point
-        t = np.asarray(theta, dtype=float)
-        u = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1) @ q.T
-        return c + u, np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1) @ q.T, -u
-
-    def gauge_radius(theta):
-        d = _direction(theta) @ q
-        return 1.0 / np.sqrt((d[..., 0] / a) ** 2 + (d[..., 1] / b) ** 2)
-
-    return _parametric_body(
-        "ellipse",
-        frame,
-        c,
-        gauge_radius,
-        float(np.linalg.norm(c) + max(a, b)),
-        {"semi_axes": [a, b], "center": c.tolist(), "angle": float(angle)},
+    """Ellipse with given semi-axes, optionally rotated about its center (q = 2)."""
+    return _gauge_body(
+        "ellipse", center, semi_axes, 2.0, 0.0, float(angle), {"angle": float(angle)}
     )
 
 
@@ -272,49 +307,12 @@ def superellipse(
     For exponent q >= 2; the elliptic blend keeps the curvature strictly
     positive at the axis points, where the pure superellipse is flat.
     """
-    a, b = (float(s) for s in semi_axes)
     qexp = float(exponent)
-    mu = float(blend)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("semi-axes must be positive")
     if qexp < 2.0:
         raise ValueError("superellipse exponent must be >= 2")
-    c = np.zeros(2) if center is None else np.asarray(center, dtype=float).ravel()
-
-    def gauge_sq(u: np.ndarray) -> np.ndarray:
-        # u (..., 2) in body coordinates (centered); 2-homogeneous in u
-        s = (abs(u[..., 0]) / a) ** qexp + (abs(u[..., 1]) / b) ** qexp
-        e = (u[..., 0] / a) ** 2 + (u[..., 1] / b) ** 2
-        return (1.0 - mu) * s ** (2.0 / qexp) + mu * e
-
-    def gauge_radius(theta):
-        return 1.0 / np.sqrt(gauge_sq(_direction(theta)))
-
-    def param(theta):
-        d = _direction(theta)
-        return c + (1.0 / np.sqrt(gauge_sq(d)))[..., None] * d
-
-    # central differences: steps 1e-6 for the first derivative, 1e-5 for the second
-    steps = np.array([0.0, 1e-6, -1e-6, 1e-5, -1e-5])
-
-    def frame(theta):
-        pts = param(np.asarray(theta, dtype=float)[..., None] + steps)
-        x = pts[..., 0, :]
-        t1 = (pts[..., 1, :] - pts[..., 2, :]) / (2.0 * 1e-6)
-        return x, t1, (pts[..., 3, :] - 2.0 * x + pts[..., 4, :]) / 1e-5**2
-
-    return _parametric_body(
-        "superellipse",
-        frame,
-        c,
-        gauge_radius,
-        float(np.linalg.norm(c) + max(a, b)),
-        {
-            "semi_axes": [a, b],
-            "exponent": qexp,
-            "center": c.tolist(),
-            "blend": mu,
-        },
+    mu = float(blend)
+    return _gauge_body(
+        "superellipse", center, semi_axes, qexp, mu, 0.0, {"exponent": qexp, "blend": mu}
     )
 
 

@@ -78,18 +78,22 @@ def build_body(spec: dict, where: str) -> bodies.ConvexBody:
         body = bodies.ball(spec["radius"], spec.get("center"))
     elif not spec.get("semi_axes") or min(spec["semi_axes"]) <= 0:
         raise ConfigError(f"{where}.semi_axes", "two positive semi-axes required")
-    elif kind == "ellipse":
-        body = bodies.ellipse(spec["semi_axes"], spec.get("center"), spec.get("angle", 0.0))
-    else:
-        exponent = spec.get("exponent", 4.0)
-        if exponent < 2.0:
-            raise StrictConvexityError(
-                f"{where}.exponent",
-                f"exponent {exponent} < 2 fails the uniform-concavity probe",
-            )
-        body = bodies.superellipse(
-            spec["semi_axes"], exponent, spec.get("center"), spec.get("blend", 0.1)
+    elif kind == "superellipse" and spec.get("exponent", 4.0) < 2.0:
+        raise StrictConvexityError(
+            f"{where}.exponent",
+            f"exponent {spec['exponent']} < 2 fails the uniform-concavity probe",
         )
+    else:
+        axes, center = spec["semi_axes"], spec.get("center")
+        try:
+            if kind == "ellipse":
+                body = bodies.ellipse(axes, center, spec.get("angle", 0.0))
+            else:
+                body = bodies.superellipse(
+                    axes, spec.get("exponent", 4.0), center, spec.get("blend", 0.1)
+                )
+        except ValueError as exc:  # a gauge that is not finite and positive
+            raise StrictConvexityError(where, str(exc)) from exc
     theta_c = body.concavity_probe(n_samples=60, rng=0)
     if not theta_c > 1e-8:  # a NaN probe fails too
         raise StrictConvexityError(

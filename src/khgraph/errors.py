@@ -83,16 +83,10 @@ class GridConstructionError(KHGraphError):
 
 
 class SingularJacobianError(KHGraphError):
-    """Newton Jacobian numerically singular; carries a smallest-σ estimate.
+    """The sparse LU of the Newton Jacobian met an exactly zero pivot."""
 
-    The sparse LU stops at an exactly zero pivot, which is reported as σ = 0.
-    """
-
-    def __init__(self, smallest_singular_value):
-        self.smallest_singular_value = float(smallest_singular_value)
-        super().__init__(
-            f"Jacobian numerically singular (σ_min ≈ {self.smallest_singular_value:.3e})"
-        )
+    def __init__(self):
+        super().__init__("Jacobian singular: its LU met an exactly zero pivot")
 
 
 class NewtonError(KHGraphError):
@@ -136,6 +130,3 @@ class ConfigError(KHGraphError):
 
 class StrictConvexityError(ConfigError):
     """Body parameters fail the uniform-concavity probe."""
-
-    def __init__(self, key, message):
-        super().__init__(key, message)

@@ -144,8 +144,9 @@ class DualProblem:
         a = self.wstar[:, None, None] * bhb
         return 0.5 * (a + a.transpose(0, 2, 1))
 
-    def boundary_h(self, du: np.ndarray):
-        return self.omega.h(du), self.omega.grad_h(du)
+    def boundary_h(self, du: np.ndarray) -> np.ndarray:
+        """omega's defining function at the boundary gradients: the boundary rows."""
+        return self.omega.h(du)
 
     def interior_sides(self, u: np.ndarray, eps: float):
         """(F*(A), psi*(y, u*)) at the interior nodes; ConeViolationError off the cone."""
@@ -159,8 +160,7 @@ class DualProblem:
         fval, rhs = self.interior_sides(u, eps)
         res = np.empty(self.grid.n_nodes)
         res[self.interior] = fval - rhs
-        hvals, _ = self.boundary_h(self.grid.boundary_gradient(u))
-        res[self.boundary] = hvals
+        res[self.boundary] = self.boundary_h(self.grid.boundary_gradient(u))
         return res
 
     def balancing_shift(self, u: np.ndarray, eps: float) -> float:
@@ -190,8 +190,7 @@ class DualProblem:
         # rows beta . (dx, dy) with beta = Dh_omega(Du*)
         coef = np.zeros((5, grid.n_nodes))
         coef[2:, self.interior] = dh[:, 0, 0], 2.0 * dh[:, 0, 1], dh[:, 1, 1]
-        _, beta = self.boundary_h(grid.boundary_gradient(u))
-        coef[:2, self.boundary] = beta.T
+        coef[:2, self.boundary] = self.omega.grad_h(grid.boundary_gradient(u)).T
         data = sum(c[st.rows] * w for c, w in zip(coef, st.weights))
         data[st.diag[self.interior]] -= self.dual_psi(eps).partial_z(
             grid.nodes[self.interior], u[self.interior]
@@ -267,7 +266,7 @@ class KeptFactor:
         try:
             self.lu = spla.splu(jac.tocsc(), permc_spec="MMD_ATA")
         except RuntimeError as exc:  # SuperLU met an exactly zero pivot
-            raise SingularJacobianError(0.0) from exc
+            raise SingularJacobianError() from exc
         self.factors += 1
 
 
@@ -322,7 +321,7 @@ def newton_step(jac: sp.csr_matrix, res: np.ndarray, kept: KeptFactor, target: f
     kept.refactor(jac)
     step = kept.lu.solve(-res)
     if not np.all(np.isfinite(step)):
-        raise SingularJacobianError(0.0)
+        raise SingularJacobianError()
     return step
 
 

@@ -83,6 +83,7 @@ class TestDefiningFunctions:
             bodies.superellipse((0.5, 0.4), 1.5)
 
     def test_gauge_boundary_consistency(self):
+        # boundary_param(t) is the boundary point on the ray at polar angle t
         for name in sorted(BODIES):
             body = BODIES[name]()
             for t in np.linspace(0, 2 * np.pi, 12, endpoint=False):
@@ -90,6 +91,42 @@ class TestDefiningFunctions:
                     [np.cos(t), np.sin(t)]
                 )
                 assert abs(body.h(via_gauge)) <= 1e-10
+                np.testing.assert_allclose(body.boundary_param(t), via_gauge, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(BODIES))
+    def test_tangent_and_curvature_match_differences(self, name):
+        body = BODIES[name]()
+        t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+        step = 1e-3
+        x = [body.boundary_param(t + j * step) for j in (-2, -1, 0, 1, 2)]
+        d1 = (x[0] - 8 * x[1] + 8 * x[3] - x[4]) / (12 * step)
+        d2 = (-x[0] + 16 * x[1] - 30 * x[2] + 16 * x[3] - x[4]) / (12 * step**2)
+        speed = np.linalg.norm(d1, axis=1)
+        np.testing.assert_allclose(
+            body.boundary_tangent(t), d1 / speed[:, None], rtol=0, atol=1e-7
+        )
+        kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+        np.testing.assert_allclose(body.boundary_curvature(t), kappa, rtol=0, atol=1e-7)
+
+    def test_curvature_closed_forms(self):
+        t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+        for rho, center in ((0.5, None), (0.4, [0.2, -0.1])):
+            kappa = bodies.ball(rho, center).boundary_curvature(t)
+            np.testing.assert_allclose(kappa, 1.0 / rho, rtol=1e-14)
+        a, b = 0.45, 0.3
+        body = bodies.ellipse((a, b))
+        x, y = body.boundary_param(t).T
+        exact = 1.0 / (a * a * b * b * (x * x / a**4 + y * y / b**4) ** 1.5)
+        np.testing.assert_allclose(body.boundary_curvature(t), exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(n for n in BODIES if "ball" not in n))
+    def test_projection_ends_stationary(self, name):
+        body = BODIES[name]()
+        core = body.h.__self__  # the closest-point projection behind h
+        rng = np.random.default_rng(3)
+        p = gauge_map(body, rng.uniform(0.05, 0.95, 48), rng.uniform(0, 2 * np.pi, 48))
+        x, t1, _ = core.frame(core.closest_theta(p))
+        assert np.abs(((x - p) * t1).sum(axis=1)).max() <= 1e-14
 
 
 class TestOracleContract:
