@@ -31,6 +31,7 @@ superellipse has flat points and would fail the concavity probe).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,6 +48,15 @@ def _direction(theta) -> np.ndarray:
 
 def _angle_sampler(param):
     return lambda m: param(np.linspace(0.0, 2.0 * np.pi, m, endpoint=False))
+
+
+@lru_cache(maxsize=16)
+def _sphere_directions(m: int, dim: int) -> np.ndarray:
+    """m fixed unit directions (m, dim): seed-1234 normal draws, normalised; read-only."""
+    dirs = np.random.default_rng(1234).normal(size=(m, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs.flags.writeable = False
+    return dirs
 
 
 @dataclass
@@ -120,10 +130,7 @@ def ball(radius: float, center=None, dim: int = 2) -> ConvexBody:
 
     def sample_sphere(m):
         # boundary sampling for n != 2 uses deterministic sphere directions
-        rng = np.random.default_rng(1234)
-        dirs = rng.normal(size=(m, dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        return c + rho * dirs
+        return c + rho * _sphere_directions(m, dim)
 
     return ConvexBody(
         kind="ball",

@@ -132,8 +132,12 @@ def support_value(jet, point=None):
     return (jet.value - symfun.rowdot(x, du)) / w
 
 
-def primal_residual(jet, k: int, psi: PsiSpec, point=None):
-    """F(a_ij) - psi(<X,N>, N) at the jet (or a Jets batch at points); raises on cone violations."""
+def primal_residual(jet, k, psi: PsiSpec, point=None):
+    """F(a_ij) - psi(<X,N>, N) at the jet (or a Jets batch at points); raises on cone violations.
+
+    k is one order or, for a batch, an integer array of one order per jet
+    (see symfun.SpectrumRequest).
+    """
     pack = curvature_pack(jet)
     op = symfun.eval_operator(
         symfun.SpectrumRequest(pack.curvature_matrix, k, "primal")

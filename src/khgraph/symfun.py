@@ -220,18 +220,26 @@ class SpectrumRequest:
     mode 'primal' evaluates sigma_k^(1/k); mode 'dual' evaluates
     (sigma_n/sigma_{n-k})^(1/k).  Both require the spectrum in the positive
     cone (strictly convex regime).  A is one matrix (n, n) or a batch
-    (..., n, n) sharing k and mode.
+    (..., n, n) sharing the mode.  k is one int for every matrix or an
+    integer array broadcasting against A's leading axes, one order per
+    matrix; each row then is bit for bit the call with its own int k.
     """
 
     A: np.ndarray
-    k: int
+    k: int | np.ndarray
     mode: str = "primal"
 
     def __post_init__(self):
         self.A = require_symmetric(self.A)
         n = self.A.shape[-1]
-        if not 1 <= self.k <= n:
-            raise ValueError(f"order k = {self.k} out of range 1..{n}")
+        k = np.asarray(self.k)
+        if k.ndim:
+            if not np.issubdtype(k.dtype, np.integer):
+                raise ValueError(f"orders k must be integers, got dtype {k.dtype}")
+            self.k = k = np.broadcast_to(k, self.A.shape[:-2])
+        bad = ~((1 <= k) & (k <= n))
+        if np.count_nonzero(bad):
+            raise ValueError(f"order k = {k[bad][0]} out of range 1..{n}")
         if self.mode not in ("primal", "dual"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -243,27 +251,39 @@ class OperatorValue:
     eigenvalues: np.ndarray  # ascending
 
 
-def _spectral_partials(lam: np.ndarray, k: int, mode: str):
-    """Operator values (...) and per-eigenvalue partials d(phi)/d(lambda_p) (..., n)."""
+def _column(a: np.ndarray, j) -> np.ndarray:
+    """a[..., j] for an int j, or per item for j an integer array over a's leading axes."""
+    if not np.ndim(j):
+        return a[..., j]
+    j = np.reshape(j, np.shape(j) + (1,) * (a.ndim - np.ndim(j)))
+    return np.take_along_axis(a, j, axis=-1)[..., 0]
+
+
+def _spectral_partials(lam: np.ndarray, k, mode: str):
+    """Operator values (...) and per-eigenvalue partials d(phi)/d(lambda_p) (..., n).
+
+    k is an int or an integer array (...), one order per spectrum.
+    """
     n = lam.shape[-1]
     e = sigma_all(lam)
     drops = sigma_drop(lam)
     if mode == "primal":
-        sk = e[..., k]
+        sk = _column(e, k)
         bad = sk <= 0.0
         if np.count_nonzero(bad):
             raise ConeViolationError(_first(lam, bad))
         value = np.float_power(sk, 1.0 / k)
         # d sigma_k / d lambda_p = sigma_{k-1}(lambda with p removed)
-        phi = (value / (k * sk))[..., None] * drops[..., k - 1]
+        phi = (value / (k * sk))[..., None] * _column(drops, k - 1)
         return value, phi
-    sn, snk = e[..., n], e[..., n - k]
+    sn, snk = e[..., n], _column(e, n - k)
     bad = (sn <= 0.0) | (snk <= 0.0)
     if np.count_nonzero(bad):
         raise ConeViolationError(_first(lam, bad))
     value = np.float_power(sn / snk, 1.0 / k)
     dsn = drops[..., n - 1]
-    dsnk = drops[..., n - k - 1] if n - k >= 1 else np.zeros(lam.shape)
+    # sigma_{n-k-1} of n - 1 entries; none (zero) at k = n
+    dsnk = np.where(np.expand_dims(np.less(k, n), -1), _column(drops, n - k - 1), 0.0)
     phi = (value / k)[..., None] * (dsn / sn[..., None] - dsnk / snk[..., None])
     return value, phi
 

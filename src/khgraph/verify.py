@@ -8,9 +8,12 @@ The full pytest suite is the authoritative gate; these are the fast,
 machine-readable subset the harness exposes.
 
 The sample-heavy checks draw their samples one at a time in the order the
-seed fixes, group them by dimension (and order k) keeping draw order, and
-evaluate each group with one batched kernel call.  A batch row is bit for bit
-the one-sample call, so the details match those of a per-sample loop.
+seed fixes, group them by dimension keeping draw order, and evaluate each
+group with one batched kernel call per dimension (and operator mode): the
+rotation checks make one make_field call per dimension, and the spectral
+checks pass each sample's order k per row.  Random jets are drawn straight
+into arrays and validated once per stacked batch.  A batch row is bit for
+bit the one-sample call, so the details match those of a per-sample loop.
 """
 
 from __future__ import annotations
@@ -24,17 +27,19 @@ from .psi import constant_psi
 
 
 def _random_convex_jet(rng, n=2):
+    """(point, value, gradient, hessian) of a random convex 2-jet in R^n."""
     b = rng.normal(size=(n, n))
     h = b @ b.T + (0.4 + rng.uniform()) * np.eye(n)
-    return Jet2(rng.normal(size=n) * 0.4, rng.normal() * 0.5,
-                rng.normal(size=n) * 0.6, h)
+    return rng.normal(size=n) * 0.4, rng.normal() * 0.5, rng.normal(size=n) * 0.6, h
 
 
 def _stack(jets):
-    """One Jets batch and its points (m, n) from Jet2 of one dimension."""
-    return (Jets(np.array([j.value for j in jets]), np.array([j.gradient for j in jets]),
-                 np.array([j.hessian for j in jets])),
-            np.array([j.point for j in jets]))
+    """One Jets batch and its points (m, n) from jet tuples of one dimension.
+
+    The Hessians are validated as Jet2 would, once for the whole stack.
+    """
+    point, value, gradient, hessian = (np.array(x) for x in zip(*jets))
+    return Jets(value, gradient, symfun.require_symmetric(hessian)), point
 
 
 def _convex_jets_by_n(rng, count):
@@ -57,10 +62,10 @@ def check_newton_maclaurin(seed):
         by_n.setdefault(n, []).append(rng.uniform(0.05, 3.0, n))
     worst = 0.0
     for n, lams in by_n.items():
-        lam = np.array(lams)
+        e = symfun.sigma_all(np.array(lams))
         # float_power: libm's pow, the scalar ** of a single sample
         vals = np.stack([
-            np.float_power(symfun.sigma_k(lam, k) / symfun.binomial(n, k), 1.0 / k)
+            np.float_power(e[:, k] / symfun.binomial(n, k), 1.0 / k)
             for k in range(1, n + 1)
         ], axis=-1)
         worst = max(worst, np.diff(vals, axis=-1).max())
@@ -69,7 +74,7 @@ def check_newton_maclaurin(seed):
 
 def check_operator_concavity(seed):
     rng = np.random.default_rng(seed)
-    by_nk = {}
+    by_n = {}
     for _ in range(100):
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, n + 1))
@@ -78,10 +83,10 @@ def check_operator_concavity(seed):
             b = rng.normal(size=(n, n))
             mats.append(b @ b.T + 0.3 * np.eye(n))
         t = rng.uniform()
-        by_nk.setdefault((n, k), []).append((t, t * mats[0] + (1 - t) * mats[1], *mats))
+        by_n.setdefault(n, []).append((k, t, t * mats[0] + (1 - t) * mats[1], *mats))
     worst = 0.0
-    for (n, k), samples in by_nk.items():
-        t, mid, m0, m1 = (np.array(x) for x in zip(*samples))
+    for samples in by_n.values():
+        k, t, mid, m0, m1 = (np.array(x) for x in zip(*samples))
         for mode in ("primal", "dual"):
             fm, f0, f1 = symfun.eval_operator(
                 symfun.SpectrumRequest(np.stack([mid, m0, m1]), k, mode)
@@ -92,30 +97,33 @@ def check_operator_concavity(seed):
 
 def check_duality_product(seed):
     rng = np.random.default_rng(seed)
-    by_nk = {}
+    by_n = {}
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, n + 1))
-        by_nk.setdefault((n, k), []).append(rng.uniform(0.05, 4.0, n))
+        by_n.setdefault(n, []).append((k, rng.uniform(0.05, 4.0, n)))
     worst = 0.0
-    for (n, k), kappas in by_nk.items():
-        worst = max(worst, np.abs(symfun.duality_product(np.array(kappas), k) - 1.0).max())
+    for samples in by_n.values():
+        k, kappa = (np.array(x) for x in zip(*samples))
+        worst = max(worst, np.abs(symfun.duality_product(kappa, k) - 1.0).max())
     return worst <= 1e-12, f"max |F F* - 1| = {worst:.2e}"
 
 
 def check_orthogonal_invariance(seed):
     rng = np.random.default_rng(seed)
-    by_nk = {}
+    by_n = {}
     for _ in range(50):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
         b = rng.normal(size=(n, n))
         a = b @ b.T + 0.5 * np.eye(n)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        by_nk.setdefault((n, k), []).append((a, q.T @ a @ q))
+        by_n.setdefault(n, []).append((k, (a, q.T @ a @ q)))
     worst = 0.0
-    for (n, k), pairs in by_nk.items():
-        f = symfun.eval_operator(symfun.SpectrumRequest(np.array(pairs), k, "primal")).value
+    for samples in by_n.values():
+        k, pairs = (np.array(x) for x in zip(*samples))
+        f = symfun.eval_operator(
+            symfun.SpectrumRequest(pairs, k[:, None], "primal")).value
         worst = max(worst, np.abs(f[:, 0] - f[:, 1]).max())
     return worst <= 1e-12, f"max |F(QtAQ) - F(A)| = {worst:.2e}"
 
@@ -144,19 +152,19 @@ def check_shape_operator_similarity(seed):
 def check_rotation_invariance_residual(seed):
     rng = np.random.default_rng(seed)
     ps = constant_psi(1.3)
-    by_nk = {}
+    by_n = {}
     for _ in range(50):
         n = int(rng.integers(2, 5))
         k = int(rng.integers(1, n + 1))
-        jet = _random_convex_jet(rng, n)
+        point, value, gradient, hessian = jet = _random_convex_jet(rng, n)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        jet_rot = Jet2(q.T @ jet.point, jet.value, q.T @ jet.gradient,
-                       q.T @ jet.hessian @ q)
-        by_nk.setdefault((n, k), []).append((jet, jet_rot))
+        jet_rot = (q.T @ point, value, q.T @ gradient, q.T @ hessian @ q)
+        by_n.setdefault(n, []).append((k, jet, jet_rot))
     worst = 0.0
-    for (n, k), pairs in by_nk.items():
-        jets, points = _stack([j for pair in pairs for j in pair])
-        r = geometry.primal_residual(jets, k, ps, points)
+    for samples in by_n.values():
+        k, jets, jets_rot = zip(*samples)
+        jets, points = _stack([j for pair in zip(jets, jets_rot) for j in pair])
+        r = geometry.primal_residual(jets, np.repeat(k, 2), ps, points)
         worst = max(worst, np.abs(r[0::2] - r[1::2]).max())
     return worst <= 1e-12, f"max residual change {worst:.2e}"
 
@@ -166,36 +174,36 @@ def check_linearization_fd(seed):
     from .psi import normal_poly_psi
 
     ps = normal_poly_psi(3.0, linear=[0.15, -0.1, 0.2])
+    t = 1e-6
+    # central-difference probes: the symmetric Hessian directions e_ij
+    # (i, j in C order), then the gradient axes
+    e_hess = np.zeros((4, 2, 2))
+    for m, (i, j) in enumerate(np.ndindex(2, 2)):
+        e_hess[m, i, j] += t / 2
+        e_hess[m, j, i] += t / 2
+    e_grad = np.zeros((2, 2))
+    e_grad[[0, 1], [0, 1]] = t
+
+    def gval(du, hess, k):
+        """sigma_k of the curvature matrix at gradients du (m, 2) and Hessians (m, 2, 2)."""
+        w = np.sqrt(1 + symfun.rowdot(du, du))[:, None, None]
+        b = np.eye(2) - du[:, :, None] * du[:, None, :] / (w * (1 + w))
+        return symfun.sigma_k(np.linalg.eigvalsh(b @ hess @ b / w), k)
+
     worst = 0.0
     for _ in range(20):
-        jet = _random_convex_jet(rng, 2)
+        jet = Jet2(*_random_convex_jet(rng, 2))
         k = int(rng.integers(1, 3))
         gij, gs, psis = geometry.primal_linearization(jet, k, ps)
-
-        def gval(du, hess):
-            w = np.sqrt(1 + du @ du)
-            b = np.eye(2) - np.outer(du, du) / (w * (1 + w))
-            return symfun.sigma_k(np.linalg.eigvalsh(b @ hess @ b / w), k)
-
-        t = 1e-6
-        for i in range(2):
-            for j in range(2):
-                e = np.zeros((2, 2))
-                e[i, j] += t / 2
-                e[j, i] += t / 2
-                fd = (
-                    gval(jet.gradient, jet.hessian + e)
-                    - gval(jet.gradient, jet.hessian - e)
-                ) / (2 * t)
-                worst = max(worst, abs(fd - gij[i, j]) / max(abs(gij).max(), 1))
-        for s in range(2):
-            e = np.zeros(2)
-            e[s] = t
-            fd = (
-                gval(jet.gradient + e, jet.hessian)
-                - gval(jet.gradient - e, jet.hessian)
-            ) / (2 * t)
-            worst = max(worst, abs(fd - gs[s]) / max(abs(gs).max(), 1))
+        du = np.concatenate([np.tile(jet.gradient, (8, 1)), jet.gradient + e_grad,
+                             jet.gradient - e_grad])
+        hess = np.concatenate([jet.hessian + e_hess, jet.hessian - e_hess,
+                               np.tile(jet.hessian, (4, 1, 1))])
+        vals = gval(du, hess, k)
+        fd_hess = ((vals[:4] - vals[4:8]) / (2 * t)).reshape(2, 2)
+        fd_grad = (vals[8:10] - vals[10:]) / (2 * t)
+        worst = max(worst, (np.abs(fd_hess - gij) / max(abs(gij).max(), 1)).max(),
+                    (np.abs(fd_grad - gs) / max(abs(gs).max(), 1)).max())
     return worst <= 1e-6, f"max FD gap {worst:.2e}"
 
 
@@ -250,18 +258,11 @@ def check_gauss_chart_consistency(seed):
 
 def check_reciprocal_spectrum(seed):
     rng = np.random.default_rng(seed)
-    jets = [_random_convex_jet(rng, 2) for _ in range(100)]
-    kappa = geometry.curvature_pack(_stack(jets)[0]).kappa
-    dual_jets = [
-        Jet2(
-            point=jet.gradient,
-            value=jet.point @ jet.gradient - jet.value,
-            gradient=jet.point,
-            hessian=np.linalg.inv(jet.hessian),
-        )
-        for jet in jets
-    ]
-    pack = duality.dual_chart_pack(*_stack(dual_jets))
+    jets, points = _stack([_random_convex_jet(rng, 2) for _ in range(100)])
+    kappa = geometry.curvature_pack(jets).kappa
+    dual_jets = Jets(symfun.rowdot(points, jets.gradient) - jets.value, points,
+                     symfun.require_symmetric(np.linalg.inv(jets.hessian)))
+    pack = duality.dual_chart_pack(dual_jets, jets.gradient)
     worst = np.abs(pack.radii - np.sort(1.0 / kappa, axis=-1)).max()
     return worst <= 1e-10, f"max radii vs 1/kappa gap {worst:.2e}"
 
@@ -300,14 +301,12 @@ def check_support_reconstruction(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
-        jet = _random_convex_jet(rng, 2)
-        y = jet.gradient
-        w = np.sqrt(1 + y @ y)
-        ustar = jet.point @ y - jet.value
-        dual_jet = Jet2(y, ustar, jet.point, np.linalg.inv(jet.hessian))
+        point, value, y, hessian = _random_convex_jet(rng, 2)
+        ustar = point @ y - value
+        dual_jet = Jet2(y, ustar, point, np.linalg.inv(hessian))
         sd = duality.spherical_hessian(dual_jet)
         lhs = sd.grad_v @ sd.grad_v + sd.v**2
-        rhs = jet.point @ jet.point + jet.value**2
+        rhs = point @ point + value**2
         worst = max(worst, abs(lhs - rhs))
     return worst <= 1e-10, f"max |X|^2 gap {worst:.2e}"
 
@@ -332,7 +331,8 @@ def check_psi_star_monotone(seed):
 # --- rotations suite --------------------------------------------------------
 
 
-def _random_field(rng, dim=2):
+def _random_anchor(rng, dim=2):
+    """(body, y0, xi): a random ball in R^dim, a boundary point and a unit tangent there."""
     body = bodies.ball(0.5 + 0.3 * rng.uniform(), dim=dim)
     if dim == 2:
         theta = rng.uniform(0, 2 * np.pi)
@@ -345,19 +345,38 @@ def _random_field(rng, dim=2):
         t = rng.normal(size=dim)
         t -= (t @ d) * d
         xi = t / np.linalg.norm(t)
+    return body, y0, xi
+
+
+def _random_field(rng, dim=2):
+    body, y0, xi = _random_anchor(rng, dim)
     return rotations.make_field(y0, xi, body), body
+
+
+def _fields(anchors):
+    """One make_field call over (body, y0, xi) anchors of one dimension, a field (m,)."""
+    body, y0, xi = zip(*anchors)
+    return rotations.make_field(np.array(y0), np.array(xi), list(body))
+
+
+def _by_dim(rng, count, draw):
+    """count samples draw(rng, dim), dim 2 (p = 0.7) or 3, grouped by dim in draw order."""
+    by_dim = {}
+    for _ in range(count):
+        dim = 2 if rng.uniform() < 0.7 else 3
+        by_dim.setdefault(dim, []).append(draw(rng, dim))
+    return by_dim
 
 
 def check_tangency(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(100):
-        dim = 2 if rng.uniform() < 0.7 else 3
-        fld, _ = _random_field(rng, dim)
-        w0 = np.sqrt(1 + fld.y0 @ fld.y0)
+    for anchors in _by_dim(rng, 100, _random_anchor).values():
+        fld = _fields(anchors)
+        w0 = np.sqrt(1 + symfun.rowdot(fld.y0, fld.y0))
         worst = max(
             worst,
-            np.abs(rotations.field_eval(fld, fld.y0) - w0 * fld.xi).max(),
+            np.abs(rotations.field_eval(fld, fld.y0) - w0[:, None] * fld.xi).max(),
         )
     return worst <= 1e-12, f"max tangency defect {worst:.2e}"
 
@@ -381,12 +400,15 @@ def check_group_law(seed):
 
 def check_envelope(seed):
     rng = np.random.default_rng(seed)
+
+    def draw(rng, dim):
+        anchor = _random_anchor(rng, dim)
+        return anchor, np.array([rng.normal(size=dim) * rng.uniform(0, 2) for _ in range(50)])
+
     worst_id, worst_bound = 0.0, -np.inf
-    for _ in range(20):
-        dim = 2 if rng.uniform() < 0.7 else 3
-        fld, _ = _random_field(rng, dim)
-        y = np.array([rng.normal(size=dim) * rng.uniform(0, 2) for _ in range(50)])
-        e = rotations.envelope_terms(fld, y)
+    for samples in _by_dim(rng, 20, draw).values():
+        anchors, y = zip(*samples)
+        e = rotations.envelope_terms(_fields(anchors)[:, None], np.array(y))
         worst_id = max(worst_id, np.abs(e["lhs"] - e["identity"]).max())
         worst_bound = max(worst_bound, (e["lhs"] - e["bound"]).max())
     ok = worst_id <= 1e-12 and worst_bound <= 1e-12
@@ -407,27 +429,27 @@ def check_flow_derivative(seed):
 
 def check_degree_two(seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(50):
-        fld, _ = _random_field(rng, 2)
-        y = rng.normal(size=2)
-        d = rng.normal(size=2)
-        h = 0.41
-        vals = rotations.field_eval(fld, y + np.arange(4)[:, None] * h * d)
-        third = vals[3] - 3 * vals[2] + 3 * vals[1] - vals[0]
-        worst = max(worst, np.abs(third).max())
+    anchors, y, d = zip(*[(_random_anchor(rng, 2), rng.normal(size=2), rng.normal(size=2))
+                          for _ in range(50)])
+    h = 0.41
+    points = np.array(y)[:, None] + np.arange(4)[:, None] * h * np.array(d)[:, None]
+    vals = rotations.field_eval(_fields(anchors)[:, None], points)
+    third = vals[:, 3] - 3 * vals[:, 2] + 3 * vals[:, 1] - vals[:, 0]
+    worst = np.abs(third).max()
     return worst <= 1e-10, f"max third difference {worst:.2e}"
 
 
 def check_unit_components(seed):
     rng = np.random.default_rng(seed)
+
+    def draw(rng, dim):
+        return _random_anchor(rng, dim), rng.normal(size=dim) * rng.uniform(0, 2)
+
     worst = 0.0
-    for _ in range(50):
-        dim = 2 if rng.uniform() < 0.7 else 3
-        fld, _ = _random_field(rng, dim)
-        y = rng.normal(size=dim) * rng.uniform(0, 2)
-        comps = fld.components(y)
-        worst = max(worst, abs(comps @ comps - 1.0))
+    for samples in _by_dim(rng, 50, draw).values():
+        anchors, y = zip(*samples)
+        comps = _fields(anchors).components(np.array(y))
+        worst = max(worst, np.abs(symfun.rowdot(comps, comps) - 1.0).max())
     return worst <= 1e-13, f"max |a|^2 - 1 = {worst:.2e}"
 
 

@@ -59,6 +59,18 @@ class TestDefiningFunctions:
         assert body.h(p) == pytest.approx((0.25 - 0.05) / 1.0, rel=1e-14)
         np.testing.assert_allclose(body.hess_h(p), -np.eye(2) / 0.5, atol=0)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_ball_sphere_samples_fixed(self, dim):
+        # the seed-1234 normal directions, normalised, on every call
+        body = bodies.ball(0.7, center=np.arange(dim) * 0.1, dim=dim)
+        for m in (64, 5, 64):
+            dirs = np.random.default_rng(1234).normal(size=(m, dim))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            samples = body.sample_boundary(m)
+            assert np.array_equal(samples, body.interior_point + 0.7 * dirs)
+            samples[:] = 0.0  # the caller's copy
+        assert np.allclose(body.h(body.sample_boundary(64)), 0.0, atol=1e-15)
+
     def test_gradient_oracle_matches_fd(self):
         rng = np.random.default_rng(2)
         for name in ("ellipse", "superellipse"):

@@ -304,3 +304,22 @@ def test_batch_rows_equal_single_jets(n, lead):
         assert support[idx] == geometry.support_value(jets[i])
         for k in orders:
             assert residual[k][idx] == geometry.primal_residual(jets[i], k, psi)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_primal_residual_per_row_order(n):
+    rng = np.random.default_rng(900 + n)
+    jets = [random_convex_jet(rng, n) for _ in range(30)]
+    batch = geometry.Jets(np.array([j.value for j in jets]),
+                          np.stack([j.gradient for j in jets]),
+                          np.stack([j.hessian for j in jets]))
+    points = np.stack([j.point for j in jets])
+    psi = normal_poly_psi(3.0, linear=rng.uniform(-0.2, 0.2, n + 1))
+    k = rng.integers(1, n + 1, len(jets))
+    k[:2] = (1, n)
+    residual = geometry.primal_residual(batch, k, psi, points)
+    for i, jet in enumerate(jets):
+        assert residual[i] == geometry.primal_residual(jet, int(k[i]), psi)
+    k[5] = n + 1
+    with pytest.raises(ValueError):
+        geometry.primal_residual(batch, k, psi, points)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,101 @@ class TestMakeField:
         with pytest.raises(PreconditionError):
             rotations.make_field(y0, 2.0 * body.boundary_tangent(0.3), body)
 
+    @staticmethod
+    def anchors(form, dim, m=40):
+        """(body, y0 (m, dim), xi (m, dim)) with three zero-xi probes among them.
+
+        'one-body' anchors lie on a (5, 2) ellipse, where most fields bisect
+        for t_max below T_CAP; 'list' anchors each lie on their own ball,
+        about a third of them a hair off a coordinate axis.
+        """
+        rng = np.random.default_rng(600 + dim)
+        if form == "one-body":
+            body = bodies.ellipse((5.0, 2.0))
+            theta = rng.uniform(0, 2 * np.pi, m)
+            y0, xi = body.boundary_param(theta), body.boundary_tangent(theta)
+        else:
+            body, y0, xi = [], [], []
+            for _ in range(m):
+                ball = bodies.ball(0.5 + 0.3 * rng.uniform(), dim=dim)
+                d = rng.normal(size=dim)
+                if rng.uniform() < 0.3:
+                    d = np.eye(dim)[rng.integers(dim)] + 1e-4 * d
+                d /= np.linalg.norm(d)
+                t = rng.normal(size=dim)
+                t -= (t @ d) * d
+                body.append(ball)
+                y0.append(ball.params["radius"] * d)
+                xi.append(t / np.linalg.norm(t))
+            y0, xi = np.array(y0), np.array(xi)
+        xi[[0, m // 3, m - 1]] = 0.0
+        return body, y0, xi
+
+    @pytest.mark.parametrize("form,dim", [("one-body", 2), ("list", 2), ("list", 3)])
+    def test_batch_rows_equal_one_anchor_calls(self, form, dim):
+        body, y0, xi = self.anchors(form, dim)
+        fld = rotations.make_field(y0, xi, body)
+        m = len(y0)
+        assert fld.frame.shape == (m, dim, dim + 1) and fld.t_max.shape == (m,)
+        if form == "one-body":
+            assert np.count_nonzero(fld.t_max < rotations.T_CAP) > m // 2
+        rng = np.random.default_rng(700 + dim)
+        y = rng.normal(size=(m, dim)) * 0.4
+        t = rng.uniform(-0.1, 0.1, m)
+        batch = (rotations.flow(fld, t, y), rotations.field_eval(fld, y), fld.components(y),
+                 rotations.envelope_terms(fld, y))
+        for i in range(m):
+            one = rotations.make_field(y0[i], xi[i], body[i] if form == "list" else body)
+            for name in ("y0", "xi", "x0", "frame", "speed", "t_max"):
+                assert np.array_equal(getattr(fld[i], name), getattr(one, name)), (i, name)
+            assert np.array_equal(batch[0][i], rotations.flow(one, t[i], y[i]))
+            assert np.array_equal(batch[1][i], rotations.field_eval(one, y[i]))
+            assert np.array_equal(batch[2][i], one.components(y[i]))
+            for key, value in rotations.envelope_terms(one, y[i]).items():
+                assert batch[3][key][i] == value, key
+        assert np.all(fld.speed[[0, m // 3, m - 1]] == 0.0)
+
+    def test_batch_field_broadcasts_over_points(self):
+        body, y0, xi = self.anchors("list", 2, m=6)
+        fld = rotations.make_field(y0.reshape(2, 3, 2), xi.reshape(2, 3, 2),
+                                   body)
+        assert fld.speed.shape == (2, 3)
+        y = np.random.default_rng(13).normal(size=(2, 3, 5, 2)) * 0.5
+        batch = rotations.field_eval(fld[..., None], y)
+        assert batch.shape == (2, 3, 5, 2)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(batch[i, j], rotations.field_eval(fld[i, j], y[i, j]))
+
+    def test_batch_precondition_names_first_bad_anchor(self):
+        body = bodies.ball(0.5)
+        theta = np.array([0.3, 1.1, 2.0, 2.9])
+        y0, xi = body.boundary_param(theta), body.boundary_tangent(theta)
+        xi[0] = 0.0
+        y0[3] *= 1.1  # off the boundary
+        xi[2] *= 2.0  # not unit
+        xi[1] = y0[1] / np.linalg.norm(y0[1])  # not tangent
+        for rows, first in (([0, 1, 2, 3], 1), ([0, 3, 2], 3), ([0, 2, 3], 2)):
+            with pytest.raises(PreconditionError) as err:
+                rotations.make_field(y0[rows], xi[rows], body)
+            with pytest.raises(PreconditionError) as one:
+                rotations.make_field(y0[first], xi[first], body)
+            assert str(err.value) == str(one.value)
+            assert err.value.defect == one.value.defect
+        with pytest.raises(PreconditionError, match="off the boundary"):
+            rotations.make_field(y0[[0, 3]], xi[[0, 3]], [body, body])
+
+    def test_zero_xi_rows_emit_no_warning(self):
+        body = bodies.ball(0.5)
+        theta = np.linspace(0.0, 2 * np.pi, 5)
+        xi = body.boundary_tangent(theta)
+        xi[[1, 3]] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fld = rotations.make_field(body.boundary_param(theta), xi, body)
+            zero = rotations.make_field(body.boundary_param(theta[:2]), np.zeros((2, 2)), body)
+        assert np.all(fld.speed[[1, 3]] == 0.0) and np.all(zero.speed == 0.0)
+        assert np.all(zero.t_max == rotations.T_CAP)
+
     def test_frame_completion_is_observationally_irrelevant(self):
         # only span(x0, e1) enters T: rotating the complementary frame
         # vectors changes nothing
@@ -122,14 +219,17 @@ class TestFlow:
     def test_group_law(self):
         fld, _ = ellipse_field()
         rng = np.random.default_rng(4)
-        worst = 0.0
+        ts, ss, ys = [], [], []
         for _ in range(1000):
             t, s = rng.uniform(0, fld.t_max / 2, 2)
-            y = rng.normal(size=2) * 0.5
-            a = rotations.flow(fld, t + s, y)
-            b = rotations.flow(fld, t, rotations.flow(fld, s, y))
-            c = rotations.flow(fld, s, rotations.flow(fld, t, y))
-            worst = max(worst, np.abs(a - b).max(), np.abs(a - c).max())
+            ts.append(t)
+            ss.append(s)
+            ys.append(rng.normal(size=2) * 0.5)
+        t, s, y = np.array(ts), np.array(ss), np.array(ys)
+        a = rotations.flow(fld, t + s, y)
+        # sigma_t(sigma_s y) and sigma_s(sigma_t y), each stage in one call
+        b, c = rotations.flow(fld, np.stack([t, s]), rotations.flow(fld, np.stack([s, t]), y))
+        worst = max(np.abs(a - b).max(), np.abs(a - c).max())
         assert worst <= 1e-10
 
     def test_origin_anchor_trigonometric_oracle(self):

@@ -343,3 +343,47 @@ def test_batch_asymmetric_item_rejected():
     a = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.2, 1.0]])])
     with pytest.raises(ValueError):
         SpectrumRequest(a, 1, "primal")
+
+
+@pytest.mark.parametrize("lead", [(40,), (8, 5)], ids=["40", "8x5"])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_per_row_order_equals_int_order_calls(n, lead):
+    # each row's k from 1..n, the dual's k = n branch (sigma_{-1} = 0) included
+    rng = np.random.default_rng(800 + n)
+    a = _batch_inputs(n, lead, rng)
+    k = rng.integers(1, n + 1, lead)
+    k.flat[:2] = (1, n)
+    kappa = rng.uniform(0.05, 4.0, lead + (n,))
+    products = symfun.duality_product(kappa, k)
+    for mode in ("primal", "dual"):
+        batch = symfun.eval_operator(SpectrumRequest(a, k, mode))
+        for idx in np.ndindex(*lead):
+            one = symfun.eval_operator(SpectrumRequest(a[idx], int(k[idx]), mode))
+            assert batch.value[idx] == one.value
+            assert np.array_equal(batch.gradient[idx], one.gradient)
+    for idx in np.ndindex(*lead):
+        assert products[idx] == symfun.duality_product(kappa[idx], int(k[idx]))
+
+
+def test_per_row_order_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(9)
+    a = _batch_inputs(3, (4, 2), rng)
+    k = np.array([[1], [3], [2], [3]])
+    batch = symfun.eval_operator(SpectrumRequest(a, k, "dual")).value
+    for i, j in np.ndindex(4, 2):
+        assert batch[i, j] == symfun.eval_operator(SpectrumRequest(a[i, j], int(k[i, 0]), "dual")).value
+
+
+@pytest.mark.parametrize("bad", [0, 4, -1])
+def test_per_row_order_out_of_range_rejected(bad):
+    a = np.stack([np.eye(3)] * 3)
+    with pytest.raises(ValueError, match="out of range"):
+        SpectrumRequest(a, np.array([1, bad, 2]), "primal")
+
+
+def test_per_row_order_must_be_integer_and_fit_the_batch():
+    a = np.stack([np.eye(2)] * 3)
+    with pytest.raises(ValueError):
+        SpectrumRequest(a, np.array([1.0, 2.0, 1.0]), "primal")
+    with pytest.raises(ValueError):
+        SpectrumRequest(a, np.array([1, 2]), "primal")
