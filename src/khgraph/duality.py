@@ -23,7 +23,7 @@ import numpy as np
 
 from . import symfun
 from .errors import OutOfImageError
-from .geometry import Jet2, Jets
+from .geometry import Jets
 from .meshfree import JetInterpolant, nearest
 from .psi import PsiSpec
 
@@ -107,14 +107,14 @@ class DualChartPack:
     radii: np.ndarray  # ascending; curvature radii when the jet is a Legendre dual
 
 
-def dual_chart_pack(jet_star, point=None) -> DualChartPack:
-    """The pack of one Jet2 of u* (at jet_star.point) or of a Jets batch at points (..., n)."""
-    dual = argument_matrix(jet_star.point if point is None else point, jet_star.hessian)
+def dual_chart_pack(jet_star: Jets) -> DualChartPack:
+    """The pack of jets of u*, of any leading axes, at their points."""
+    dual = argument_matrix(jet_star.point, jet_star.hessian)
     radii, _ = symfun.jacobi_eigh(dual)
     return DualChartPack(dual_matrix=dual, radii=radii)
 
 
-def gauss_image(jet: Jet2) -> np.ndarray:
+def gauss_image(jet: Jets) -> np.ndarray:
     """The gradient map Du, which equals the projected Gauss map P(N)."""
     return jet.gradient.copy()
 
@@ -126,8 +126,8 @@ class SupportData:
     lambda_matrix: np.ndarray
 
 
-def spherical_hessian(v_chart: Jet2) -> SupportData:
-    """Spherical Hessian from a chart jet of the function u* = w_star * v.
+def spherical_hessian(v_chart: Jets) -> SupportData:
+    """Spherical Hessian from a chart jet of the function u* = w_star * v at one point.
 
     lambda_matrix is w* b* D^2(u*) b*, which by the frame identity equals
     grad^2 v + v delta in the orthonormal frame; its eigenvalues are the
@@ -203,7 +203,7 @@ def psi_conversions(psi: PsiSpec):
     return psi_tilde, DualPsi(psi)
 
 
-def dual_residual(jet_star: Jet2, k: int, psi: PsiSpec) -> float:
+def dual_residual(jet_star: Jets, k: int, psi: PsiSpec) -> float:
     """F*(w* b* D^2u* b*) - psi*(y, u*) at a dual jet."""
     pack = dual_chart_pack(jet_star)
     op = symfun.eval_operator(symfun.SpectrumRequest(pack.dual_matrix, k, "dual"))
@@ -213,44 +213,24 @@ def dual_residual(jet_star: Jet2, k: int, psi: PsiSpec) -> float:
 
 @dataclass
 class SampledFunction:
-    """A convex function known at sample points, optionally with exact jets.
+    """A convex function known at sample points, with a jet oracle.
 
-    When jets is None the derivative oracle is a local quadratic
-    least-squares fit of the sampled values: gradients are then second-order
-    accurate, which is the accuracy class of every sampled-transform
-    contract here (grid-backed solver states carry their own cubic-fit
-    oracle instead).
+    jets maps points (..., n) to the function's Jets there.  By default it
+    is a local quadratic least-squares fit of the sampled values: gradients
+    are then second-order accurate, which is the accuracy class of every
+    sampled-transform contract here (the solver's primal recovery asks the
+    grid's cubic-fit oracle, grid.GridJetInterpolant, instead).
     """
 
     points: np.ndarray
     values: np.ndarray
-    jets: Optional[Callable[[np.ndarray], Jet2]] = None
+    jets: Optional[Callable[[np.ndarray], Jets]] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.values = np.asarray(self.values, dtype=float).ravel()
-
-    def jet_oracle(self) -> Callable[[np.ndarray], Jets]:
-        """Batched jets, points (n, dim) to Jets of shape (n,).
-
-        An oracle with an array-first jet method (JetInterpolant,
-        GridJetInterpolant) answers a batch in one fit; any other Jet2
-        callable is asked point by point and its jets stacked.
-        """
         if self.jets is None:
-            return JetInterpolant(self.points, self.values, degree=2).jet
-        batched = getattr(self.jets, "jet", None)
-        if batched is not None:
-            return batched
-        jets = self.jets
-
-        def stacked(points: np.ndarray) -> Jets:
-            js = [jets(p) for p in points]
-            return Jets(np.array([j.value for j in js]),
-                        np.stack([j.gradient for j in js]),
-                        np.stack([j.hessian for j in js]))
-
-        return stacked
+            self.jets = JetInterpolant(self.points, self.values, degree=2)
 
 
 @dataclass
@@ -271,15 +251,15 @@ def invert_gradient_map(
 ):
     """Solve Du(x_i) = targets_i for every i by damped Newton from seeds_i.
 
-    Array-first: targets and seeds are (n, dim), and jets is a batched
-    oracle mapping points (m, dim) to Jets of shape (m,).  Returns (x, jets
-    at x, iterations), of shapes (n, dim), (n,) and (n,).  Every sample
-    follows the rule it would follow alone and is frozen once done: a full
-    Newton step halved down to 1e-8 until it meets the Armijo decrease
-    (1e-4) of |Du - target|; converged at tol.  Each round asks the oracle
-    only for the samples still iterating, so with an oracle that answers a
-    batch as it answers each point alone, sample i's result does not depend
-    on the rest of the batch.
+    Array-first: targets and seeds are (n, dim), and jets is an oracle
+    mapping points (m, dim) to Jets (m,) there.  Returns the Jets (n,) at
+    the solutions, whose .point is x, and the iterations (n,).  Every
+    sample follows the rule it would follow alone and is frozen once done:
+    a full Newton step halved down to 1e-8 until it meets the Armijo
+    decrease (1e-4) of |Du - target|; converged at tol.  Each round asks the
+    oracle only for the samples still iterating, so with an oracle that
+    answers a batch as it answers each point alone, sample i's result does
+    not depend on the rest of the batch.
 
     Estimated jet oracles are only piecewise smooth (the fitting patch
     switches between queries), so the iteration may stall at the oracle's
@@ -288,12 +268,12 @@ def invert_gradient_map(
     first failing target (lowest index).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    x = np.array(seeds, dtype=float, ndmin=2)
-    at = Jets(*map(np.array, jets(x)))  # own copies, updated in place
+    # own copies of the jets at the seeds, updated in place
+    at = Jets(*map(np.array, jets(np.array(seeds, dtype=float, ndmin=2))))
     rn = np.linalg.norm(at.gradient - targets, axis=-1)
-    iters = np.full(len(x), max_iter)
-    failed = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
+    iters = np.full(len(rn), max_iter)
+    failed = np.zeros(len(rn), dtype=bool)
+    active = np.arange(len(rn))
     for it in range(max_iter):
         done = rn[active] <= tol
         iters[active[done]] = it
@@ -311,12 +291,11 @@ def invert_gradient_map(
         alpha = 1.0
         while searching.size and alpha > 1e-8:
             idx = active[searching]
-            x_new = x[idx] + alpha * step[searching]
-            trial = jets(x_new)
+            trial = jets(at.point[idx] + alpha * step[searching])
             rn_new = np.linalg.norm(trial.gradient - targets[idx], axis=-1)
             ok = rn_new <= (1.0 - 1e-4 * alpha) * rn[idx]
             acc = idx[ok]
-            x[acc], rn[acc] = x_new[ok], rn_new[ok]
+            rn[acc] = rn_new[ok]
             for field, new in zip(at, trial):
                 field[acc] = new[ok]
             searching = searching[~ok]
@@ -330,7 +309,7 @@ def invert_gradient_map(
     if failed.any():
         i = int(np.flatnonzero(failed)[0])
         raise OutOfImageError(targets[i], rn[i])
-    return x, at, iters
+    return at, iters
 
 
 def legendre(
@@ -348,32 +327,32 @@ def legendre(
     naming the first one.  Default targets are the gradient images of the
     sample points themselves, so the result is sampled on Du(domain).  The
     returned object carries exact dual jets through the inverse-Hessian
-    relation D^2u*(y) = (D^2u(x(y)))^{-1}; each dual jet is the one-target
-    case of the same inversion.
+    relation D^2u*(y) = (D^2u(x(y)))^{-1}: a query batch (..., n) is one
+    inversion of the same kind, and each of its rows is the one-point call.
     """
-    jets = f.jet_oracle()
-    grads = jets(f.points).gradient
+    grads = f.jets(f.points).gradient
     if targets is None:
         targets = grads.copy()
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
 
     def transform(ys: np.ndarray):
         seeds = f.points[nearest(grads, ys, 1)[:, 0]]
-        x, at, iters = invert_gradient_map(jets, ys, seeds, tol=tol, stall_tol=stall_tol)
-        return x, (x * ys).sum(axis=-1) - at.value, at.hessian, iters
+        at, iters = invert_gradient_map(f.jets, ys, seeds, tol=tol, stall_tol=stall_tol)
+        return at, (at.point * ys).sum(axis=-1) - at.value, iters
 
-    xs, values, _, iters = transform(targets)
+    at, values, iters = transform(targets)
 
-    def dual_jets(yq: np.ndarray) -> Jet2:
-        yq = np.asarray(yq, dtype=float).ravel()
-        x, value, hess, _ = transform(yq[None])
-        return Jet2(point=yq, value=value[0], gradient=x[0],
-                    hessian=np.linalg.inv(hess[0]))
+    def dual_jets(ys: np.ndarray) -> Jets:
+        ys = np.asarray(ys, dtype=float)
+        flat = ys.reshape(-1, ys.shape[-1])
+        primal, value, _ = transform(flat)
+        return Jets(flat, value, primal.point,
+                    np.linalg.inv(primal.hessian)).reshape(ys.shape[:-1])
 
     return LegendreResult(
         points=targets,
         values=values,
         jets=dual_jets,
-        gradients=xs,
+        gradients=at.point,
         newton_iterations=iters,
     )

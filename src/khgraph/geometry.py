@@ -1,8 +1,8 @@
 """Pointwise graph-hypersurface tensors from a 2-jet of u.
 
-Everything here is pointwise algebra on a Jet2 (value, gradient, Hessian at a
-point), so grid and discretization concerns never enter.  Conventions, with
-w = sqrt(1 + |Du|^2):
+Everything here is pointwise algebra on Jets (point, value, gradient and
+Hessian, at one point or a batch), so grid and discretization concerns never
+enter.  Conventions, with w = sqrt(1 + |Du|^2):
 
     g_ij   = delta_ij + u_i u_j          (induced metric)
     g^ij   = delta_ij - u_i u_j / w^2
@@ -19,7 +19,6 @@ shape operator h_ik g^kj.  The support value is <X, N> = (u - x.Du)/w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,55 +28,53 @@ from .psi import PsiSpec
 
 
 @dataclass
-class Jet2:
-    """Point sample of (u, Du, D^2u); the universal unit all formulas consume."""
+class Jets:
+    """2-jets (u, Du, D^2u) at points; the one jet type every formula consumes.
 
-    point: np.ndarray
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-    def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float).ravel()
-        self.value = float(self.value)
-        self.gradient = np.asarray(self.gradient, dtype=float).ravel()
-        self.hessian = np.asarray(self.hessian, dtype=float)
-        n = self.point.size
-        if self.gradient.size != n or self.hessian.shape != (n, n):
-            raise ValueError("jet shapes inconsistent with point dimension")
-        self.hessian = symfun.require_symmetric(self.hessian)
-
-    @property
-    def dim(self) -> int:
-        return self.point.size
-
-
-class Jets(NamedTuple):
-    """Jets at a batch of points: value (...,), gradient (..., n), hessian (..., n, n).
-
-    What the array-first jet oracles (GridJetInterpolant.jet,
-    JetInterpolant.jet) return.  The fields carry Jet2's names, so code that
-    reads only .gradient and .hessian (obliqueness_chi, curvature_pack) takes
-    either.
+    point (..., n), value (...), gradient (..., n), hessian (..., n, n); one
+    point is the 0-d case, whose value is an np.float64.  Construction
+    raises ValueError unless the shapes agree with the point's and every
+    Hessian is symmetric (symfun.require_symmetric), and stores the Hessians
+    symmetrised.  A jet oracle maps points (..., n) to the Jets there.
+    Iterating a Jets gives its fields in order, so Jets(*jets) rebuilds it.
     """
 
+    point: np.ndarray
     value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
+    def __post_init__(self):
+        self.point = np.asarray(self.point, dtype=float)
+        self.value = np.asarray(self.value, dtype=float)[()]
+        self.gradient = np.asarray(self.gradient, dtype=float)
+        self.hessian = np.asarray(self.hessian, dtype=float)
+        lead, n = self.point.shape[:-1], self.point.shape[-1:]
+        if (not n or np.shape(self.value) != lead or self.gradient.shape != lead + n
+                or self.hessian.shape != lead + n + n):
+            raise ValueError("jet shapes inconsistent with point dimension")
+        self.hessian = symfun.require_symmetric(self.hessian)
+
+    def __iter__(self):
+        return iter((self.point, self.value, self.gradient, self.hessian))
+
+    @property
+    def dim(self) -> int:
+        return self.point.shape[-1]
+
     def reshape(self, lead: tuple) -> "Jets":
         """The same jets with leading axes lead."""
-        n = self.gradient.shape[-1]
-        return Jets(self.value.reshape(lead), self.gradient.reshape(lead + (n,)),
-                    self.hessian.reshape(lead + (n, n)))
+        n = (self.dim,)
+        return Jets(self.point.reshape(lead + n), np.reshape(self.value, lead),
+                    self.gradient.reshape(lead + n), self.hessian.reshape(lead + n + n))
 
 
 @dataclass
 class CurvaturePack:
     """All pointwise hypersurface tensors of a graph at one point or a batch.
 
-    Fields carry the batch's leading axes: w (...), matrices (..., n, n),
-    normal (..., n+1), kappa (..., n); one Jet2 gives w as a float.
+    Fields carry the jets' leading axes: w (...), matrices (..., n, n),
+    normal (..., n+1), kappa (..., n); a 0-d jet gives w as an np.float64.
     """
 
     w: float
@@ -91,14 +88,13 @@ class CurvaturePack:
     kappa: np.ndarray  # ascending
 
 
-def curvature_pack(jet) -> CurvaturePack:
+def curvature_pack(jet: Jets) -> CurvaturePack:
     """Assemble metric, normal, curvature matrix and principal curvatures.
 
-    jet is one Jet2 or a Jets batch; only .gradient and .hessian are read.
+    jet is Jets of any leading axes; only .gradient and .hessian are read.
     Each batch row is bit for bit the one-jet call.
     """
-    du = np.asarray(jet.gradient, dtype=float)
-    hess = np.asarray(jet.hessian, dtype=float)
+    du, hess = jet.gradient, jet.hessian
     eye = np.eye(du.shape[-1])
     w = np.sqrt(1.0 + symfun.rowdot(du, du))
     wm = w[..., None, None]
@@ -121,19 +117,15 @@ def curvature_pack(jet) -> CurvaturePack:
     )
 
 
-def support_value(jet, point=None):
-    """<X, N> = (u - x.Du)/w without forming the ambient position vector.
-
-    jet is one Jet2 (at jet.point) or a Jets batch at points (..., n).
-    """
-    x = jet.point if point is None else np.asarray(point, dtype=float)
-    du = np.asarray(jet.gradient, dtype=float)
+def support_value(jet: Jets):
+    """<X, N> = (u - x.Du)/w at the jets' points, without forming the ambient position vector."""
+    du = jet.gradient
     w = np.sqrt(1.0 + symfun.rowdot(du, du))
-    return (jet.value - symfun.rowdot(x, du)) / w
+    return (jet.value - symfun.rowdot(jet.point, du)) / w
 
 
-def primal_residual(jet, k, psi: PsiSpec, point=None):
-    """F(a_ij) - psi(<X,N>, N) at the jet (or a Jets batch at points); raises on cone violations.
+def primal_residual(jet: Jets, k, psi: PsiSpec):
+    """F(a_ij) - psi(<X,N>, N) at the jets' points; raises on cone violations.
 
     k is one order or, for a batch, an integer array of one order per jet
     (see symfun.SpectrumRequest).
@@ -142,11 +134,11 @@ def primal_residual(jet, k, psi: PsiSpec, point=None):
     op = symfun.eval_operator(
         symfun.SpectrumRequest(pack.curvature_matrix, k, "primal")
     )
-    z = support_value(jet, point)
+    z = support_value(jet)
     return op.value - psi.evaluate(z, pack.normal)
 
 
-def primal_linearization(jet: Jet2, k: int, psi: PsiSpec):
+def primal_linearization(jet: Jets, k: int, psi: PsiSpec):
     """Coefficients (G^ij, G^s, psi^s) of the linearized primal operator.
 
     G(Du, D^2u) = sigma_k(a_ij).  With S = d sigma_k / da (the Newton
@@ -189,25 +181,24 @@ def primal_linearization(jet: Jet2, k: int, psi: PsiSpec):
     return gij, gs, psis
 
 
-def obliqueness_chi(jet, nu: np.ndarray, target):
+def obliqueness_chi(jet: Jets, nu: np.ndarray, target):
     """Obliqueness at boundary points, by definition and by the closed formula.
 
     chi_def = <Dh(Du), nu> with h the target domain's defining function and nu
     the interior unit normal of the source boundary; chi_formula =
     sqrt(u^{ij} nu_i nu_j * u_kl h_k h_l).  The two agree whenever the
     gradient image traces the target boundary, which is required up to 1e-8
-    at every point.  Broadcasts over leading axes: a Jets batch with normals
-    (..., n) gives (chi_def, chi_formula) of shape (...); one Jet2 is the
-    0-d case.
+    at every point.  Broadcasts over leading axes: Jets (...) with normals
+    (..., n) give (chi_def, chi_formula) of shape (...).
     """
     nu = np.asarray(nu, dtype=float)
-    du = np.asarray(jet.gradient, dtype=float)
+    du = jet.gradient
     level = float(np.abs(target.h(du)).max())
     if level > 1e-8:
         raise BoundaryMismatchError(level, 1e-8)
     dh = np.asarray(target.grad_h(du), dtype=float)
     chi_def = (dh * nu).sum(axis=-1)
-    hess = np.asarray(jet.hessian, dtype=float)
+    hess = jet.hessian
     try:
         hess_inv = np.linalg.inv(hess)
     except np.linalg.LinAlgError as exc:

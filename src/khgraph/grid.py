@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .bodies import ConvexBody, gauge_map
 from .config import MIN_GRID
 from .errors import GridConstructionError
-from .geometry import Jet2, Jets
+from .geometry import Jets
 from .meshfree import jet_weight_rows, patch_jets
 
 STENCIL_RAYS = 5  # fewest rays in a window
@@ -152,9 +152,6 @@ class Grid:
         frac = np.linalg.norm(v, axis=-1) / np.maximum(rho, 1e-300)
         ring = np.searchsorted(self.radii, frac) + 1
         return np.clip(ring, 1, self.n_r), ray
-
-    def jet_interpolant(self, values: np.ndarray) -> "GridJetInterpolant":
-        return GridJetInterpolant(self, values)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self.stencils.apply(u, slice(0, 2)).T
@@ -320,7 +317,7 @@ class GridJetInterpolant:
         if self.values.size != grid.n_nodes:
             raise ValueError("values length does not match the grid")
 
-    def jet(self, query: np.ndarray) -> Jets:
+    def __call__(self, query: np.ndarray) -> Jets:
         """Jets at query points (..., 2); one query is the 0-d case.
 
         Queries are grouped by the ring they locate to; all windows of a
@@ -331,18 +328,14 @@ class GridJetInterpolant:
         q = query.reshape(-1, 2)
         g = self.grid
         rings, rays = g.locate(q)
-        out = Jets(np.empty(len(q)), np.empty((len(q), 2)), np.empty((len(q), 2, 2)))
+        out = np.empty(len(q)), np.empty((len(q), 2)), np.empty((len(q), 2, 2))
         for j in np.unique(rings):
             sel = np.flatnonzero(rings == j)
             patch = _logical_patch(int(j), rays[sel], g.n_r, g.n_theta, g.radii)
             rows = jet_weight_rows(g.nodes[patch], q[sel], STENCIL_DEGREE)
             for dst, src in zip(out, patch_jets(rows, self.values[patch])):
                 dst[sel] = src
-        return out.reshape(query.shape[:-1])
-
-    def __call__(self, query):
-        query = np.asarray(query, dtype=float).ravel()
-        return Jet2(query, *self.jet(query))
+        return Jets(q, *out).reshape(query.shape[:-1])
 
 
 def _quad_weights(body: ConvexBody, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:

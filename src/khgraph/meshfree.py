@@ -32,7 +32,8 @@ batch reproduces the one-patch weights bit for bit.  A single patch is the
 0-d case of the same code.  patch_jets contracts such rows with the
 patches' sample values the same way, one patch at a time, so the jet
 oracles built on them (JetInterpolant here, GridJetInterpolant on grids)
-answer a batch of queries exactly as they answer each query alone.
+answer a batch of queries exactly as they answer each query alone: each is
+a callable from query points (..., dim) to geometry.Jets (...).
 
 nearest is the package's one nearest-sample search: it picks the
 JetInterpolant patches and the Newton seeds of the Legendre transform, the
@@ -45,7 +46,7 @@ import functools
 
 import numpy as np
 
-from .geometry import Jet2, Jets
+from .geometry import Jets
 
 
 # entries of one chunk's query-to-sample distance table
@@ -226,8 +227,8 @@ def jet_weight_rows(points: np.ndarray, center: np.ndarray, degree: int):
     return w_val, w_grad, w_hess
 
 
-def patch_jets(rows, f: np.ndarray) -> Jets:
-    """Jets of patch values f (s, m) through the weight rows of s patches.
+def patch_jets(rows, f: np.ndarray):
+    """(value (s,), gradient (s, dim), hessian (s, dim, dim)) of patch values f (s, m).
 
     rows is what jet_weight_rows returns for patches (s, m, dim); every
     contraction is a stacked matmul, one patch per item, so a patch's jet
@@ -237,10 +238,10 @@ def patch_jets(rows, f: np.ndarray) -> Jets:
     value = (w_val[:, None, :] @ f[:, :, None])[:, 0, 0]
     grad = (w_grad @ f[:, :, None])[..., 0]
     hess = (w_hess @ f[:, None, :, None])[..., 0]
-    return Jets(value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    return value, grad, 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
-def central_difference_jet(f, point, h: float) -> Jet2:
+def central_difference_jet(f, point, h: float) -> Jets:
     """Jet of a scalar f at point by central differences of step h.
 
     Four-point cross differences off the diagonal; exact to rounding on
@@ -264,7 +265,7 @@ def central_difference_jet(f, point, h: float) -> Jet2:
                 - f(point - e[i] + e[j])
                 + f(point - e[i] - e[j])
             ) / (4 * h**2)
-    return Jet2(point, f0, grad, hess)
+    return Jets(point, f0, grad, hess)
 
 
 class JetInterpolant:
@@ -280,7 +281,7 @@ class JetInterpolant:
         n_basis = monomial_exponents(self.dim, degree).shape[0]
         self.n_neighbors = min(self.points.shape[0], max(2 * n_basis, n_basis + 6))
 
-    def jet(self, query: np.ndarray) -> Jets:
+    def __call__(self, query: np.ndarray) -> Jets:
         """Jets of the local fits at query points (..., dim); one point is the 0-d case.
 
         Each query is fitted over its n_neighbors nearest samples, all
@@ -290,8 +291,4 @@ class JetInterpolant:
         q = query.reshape(-1, self.dim)
         idx = nearest(self.points, q, self.n_neighbors)
         rows = jet_weight_rows(self.points[idx], q, self.degree)
-        return patch_jets(rows, self.values[idx]).reshape(query.shape[:-1])
-
-    def __call__(self, query):
-        query = np.asarray(query, dtype=float).ravel()
-        return Jet2(query, *self.jet(query))
+        return Jets(q, *patch_jets(rows, self.values[idx])).reshape(query.shape[:-1])

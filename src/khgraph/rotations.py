@@ -57,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symfun
-from .duality import argument_matrix, chart_metric_inv, psi_conversions, unproject, wstar
+from .duality import DualPsi, argument_matrix, chart_metric_inv, unproject, wstar
 from .errors import HemisphereExitError, PreconditionError
-from .geometry import Jet2
+from .geometry import Jets
 from .meshfree import central_difference_jet
 
 T_CAP = 0.5  # largest flow time a field is fitted to
@@ -379,12 +379,13 @@ def rotated_support(field: RotationField, y, u, du) -> np.ndarray:
     """phi = w* T(u*/w*) at points y (..., n), from u* (...) and Du* (..., n) there."""
     y = np.asarray(y, dtype=float)
     w = wstar(y)
-    dv = du / w[..., None] - (u / w**3)[..., None] * y
+    # float_power: the libm pow of a one-point scalar w**3
+    dv = du / w[..., None] - (u / np.float_power(w, 3))[..., None] * y
     return w * (field_eval(field, y) * dv).sum(axis=-1)
 
 
 def equation_defect(
-    field: RotationField, jet: Jet2, hess_phi: np.ndarray, star, k: int
+    field: RotationField, jet: Jets, hess_phi: np.ndarray, star: DualPsi, k: int
 ) -> float:
     """Gap of the rotation-differentiated dual equation at jet.point.
 
@@ -406,7 +407,7 @@ def equation_defect(
 def differentiated_equation_check(
     field: RotationField,
     jets,
-    psi,
+    star: DualPsi,
     k: int,
     point: np.ndarray,
     h: float = 1.0 / 128.0,
@@ -414,12 +415,11 @@ def differentiated_equation_check(
 ) -> float:
     """Defect of the rotation-differentiated dual equation at an interior point.
 
-    The solved dual state enters through `jets` (y -> Jet2 of u*); D^2 phi is
-    the central-difference Hessian of rotated_support, so on an exact
-    solution the defect is O(h^2) plus the solve tolerance.  psi is a primal
-    PsiSpec (converted here) or a ready dual-side object exposing
-    partial_y/partial_z.  With a body, every difference probe is checked to
-    lie in it before the jets are asked there (PreconditionError if not).
+    The solved dual state enters through the jet oracle `jets` (y -> Jets of
+    u*) and the dual right-hand side `star`; D^2 phi is the central-difference
+    Hessian of rotated_support, so on an exact solution the defect is O(h^2)
+    plus the solve tolerance.  With a body, every difference probe is checked
+    to lie in it before the jets are asked there (PreconditionError if not).
     """
     def phi(yq: np.ndarray) -> float:
         if body is not None:
@@ -432,5 +432,4 @@ def differentiated_equation_check(
         return float(rotated_support(field, yq, jet.value, jet.gradient))
 
     phi_jet = central_difference_jet(phi, point, h)
-    star = psi if hasattr(psi, "partial_y") else psi_conversions(psi)[1]
     return equation_defect(field, jets(phi_jet.point), phi_jet.hessian, star, k)

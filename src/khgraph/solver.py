@@ -52,7 +52,7 @@ from .errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
-from .grid import Grid
+from .grid import Grid, GridJetInterpolant
 from .meshfree import nearest
 from .psi import PsiSpec, exponential_psi
 
@@ -70,10 +70,6 @@ class SolverState:
     residual_norm: float
     history: list = field(default_factory=list)  # one record per eps level
     diagnostics: dict = field(default_factory=dict)
-
-    def jets(self):
-        """Jet oracle of the discrete dual solution (logical-window fits)."""
-        return self.grid.jet_interpolant(self.u_star)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +514,8 @@ def recover_primal(state: SolverState, problem: DualProblem) -> PrimalRecovery:
     bnd_x = problem.omega.boundary_param(thetas)
     images = du[grid.boundary_idx]
     seeds = grid.nodes[grid.boundary_idx[nearest(images, bnd_x, 1)[:, 0]]]
-    ys, _, _ = duality.invert_gradient_map(state.jets().jet, bnd_x, seeds, tol=1e-10)
+    at, _ = duality.invert_gradient_map(GridJetInterpolant(grid, u), bnd_x, seeds, tol=1e-10)
+    ys = at.point
     target = grid.body
     defect = float(np.abs(target.h(ys)).max())
     bnd_star = target.boundary_param(thetas)
@@ -558,6 +555,7 @@ def diagnostics(state: SolverState, problem: DualProblem) -> dict:
     # primal jets at x through the Legendre pairing: Du = y, D^2u = (D^2u*)^{-1}
     hess = np.linalg.inv(h[bidx])
     jets = geometry.Jets(
+        point=x,
         value=(grid.nodes[bidx] * x).sum(axis=1) - u[bidx],
         gradient=grid.nodes[bidx],
         hessian=0.5 * (hess + hess.transpose(0, 2, 1)),
@@ -600,5 +598,5 @@ def differentiated_equation_defect(
     u = state.u_star
     du = grid.gradient(u)
     hess_phi = grid.hessians(rotations.rotated_support(fld, grid.nodes, u, du))[node]
-    jet = geometry.Jet2(grid.nodes[node], u[node], du[node], grid.hessians(u)[node])
+    jet = geometry.Jets(grid.nodes[node], u[node], du[node], grid.hessians(u)[node])
     return rotations.equation_defect(fld, jet, hess_phi, problem.dual_psi(eps), problem.k)

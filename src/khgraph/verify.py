@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bodies, duality, geometry, rotations, symfun
-from .geometry import Jet2, Jets
+from .geometry import Jets
 from .meshfree import central_difference_jet
 from .psi import constant_psi
 
@@ -34,12 +34,8 @@ def _random_convex_jet(rng, n=2):
 
 
 def _stack(jets):
-    """One Jets batch and its points (m, n) from jet tuples of one dimension.
-
-    The Hessians are validated as Jet2 would, once for the whole stack.
-    """
-    point, value, gradient, hessian = (np.array(x) for x in zip(*jets))
-    return Jets(value, gradient, symfun.require_symmetric(hessian)), point
+    """One Jets batch (m,) from jet tuples of one dimension, validated once."""
+    return Jets(*(np.array(x) for x in zip(*jets)))
 
 
 def _convex_jets_by_n(rng, count):
@@ -132,7 +128,7 @@ def check_curvature_pack_identities(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n, jets in _convex_jets_by_n(rng, 100).items():
-        pk = geometry.curvature_pack(_stack(jets)[0])
+        pk = geometry.curvature_pack(_stack(jets))
         worst = max(worst, np.abs(pk.b @ pk.b - pk.g_inv).max(),
                     np.abs(pk.b @ pk.b_inv - np.eye(n)).max())
     return worst <= 1e-12, f"max b-identity defect {worst:.2e}"
@@ -142,7 +138,7 @@ def check_shape_operator_similarity(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for jets in _convex_jets_by_n(rng, 100).values():
-        pk = geometry.curvature_pack(_stack(jets)[0])
+        pk = geometry.curvature_pack(_stack(jets))
         shape = pk.second_form @ pk.g_inv
         kappa2 = np.sort(np.linalg.eigvals(shape).real, axis=-1)
         worst = max(worst, np.abs(pk.kappa - kappa2).max())
@@ -163,8 +159,8 @@ def check_rotation_invariance_residual(seed):
     worst = 0.0
     for samples in by_n.values():
         k, jets, jets_rot = zip(*samples)
-        jets, points = _stack([j for pair in zip(jets, jets_rot) for j in pair])
-        r = geometry.primal_residual(jets, np.repeat(k, 2), ps, points)
+        jets = _stack([j for pair in zip(jets, jets_rot) for j in pair])
+        r = geometry.primal_residual(jets, np.repeat(k, 2), ps)
         worst = max(worst, np.abs(r[0::2] - r[1::2]).max())
     return worst <= 1e-12, f"max residual change {worst:.2e}"
 
@@ -192,7 +188,7 @@ def check_linearization_fd(seed):
 
     worst = 0.0
     for _ in range(20):
-        jet = Jet2(*_random_convex_jet(rng, 2))
+        jet = Jets(*_random_convex_jet(rng, 2))
         k = int(rng.integers(1, 3))
         gij, gs, psis = geometry.primal_linearization(jet, k, ps)
         du = np.concatenate([np.tile(jet.gradient, (8, 1)), jet.gradient + e_grad,
@@ -247,7 +243,7 @@ def check_gauss_chart_consistency(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for jets in _convex_jets_by_n(rng, 200).values():
-        batch = _stack(jets)[0]
+        batch = _stack(jets)
         pk = geometry.curvature_pack(batch)
         worst = max(
             worst,
@@ -258,11 +254,11 @@ def check_gauss_chart_consistency(seed):
 
 def check_reciprocal_spectrum(seed):
     rng = np.random.default_rng(seed)
-    jets, points = _stack([_random_convex_jet(rng, 2) for _ in range(100)])
+    jets = _stack([_random_convex_jet(rng, 2) for _ in range(100)])
     kappa = geometry.curvature_pack(jets).kappa
-    dual_jets = Jets(symfun.rowdot(points, jets.gradient) - jets.value, points,
-                     symfun.require_symmetric(np.linalg.inv(jets.hessian)))
-    pack = duality.dual_chart_pack(dual_jets, jets.gradient)
+    dual_jets = Jets(jets.gradient, symfun.rowdot(jets.point, jets.gradient) - jets.value,
+                     jets.point, np.linalg.inv(jets.hessian))
+    pack = duality.dual_chart_pack(dual_jets)
     worst = np.abs(pack.radii - np.sort(1.0 / kappa, axis=-1)).max()
     return worst <= 1e-10, f"max radii vs 1/kappa gap {worst:.2e}"
 
@@ -303,7 +299,7 @@ def check_support_reconstruction(seed):
     for _ in range(100):
         point, value, y, hessian = _random_convex_jet(rng, 2)
         ustar = point @ y - value
-        dual_jet = Jet2(y, ustar, point, np.linalg.inv(hessian))
+        dual_jet = Jets(y, ustar, point, np.linalg.inv(hessian))
         sd = duality.spherical_hessian(dual_jet)
         lhs = sd.grad_v @ sd.grad_v + sd.v**2
         rhs = point @ point + value**2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from khgraph import bodies, duality, geometry, rotations, solver, symfun
-from khgraph.geometry import Jet2
+from khgraph.geometry import Jets
 from khgraph.grid import build_grid
 from khgraph.harness import run_solve
 from khgraph.meshfree import central_difference_jet
@@ -35,7 +35,7 @@ def report(num, text):
 def cap_jets(x):
     x = np.asarray(x, dtype=float)
     g = np.sqrt(RADIUS**2 - x @ x)
-    return Jet2(x, -g, x / g, np.eye(x.size) / g + np.outer(x, x) / g**3)
+    return Jets(x, -g, x / g, np.eye(x.size) / g + np.outer(x, x) / g**3)
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +287,7 @@ def test_criterion_6_jacobian_and_linearization_consistency():
     worst_lin = 0.0
     for _ in range(40):
         b = rng.normal(size=(2, 2))
-        jet = Jet2(
+        jet = Jets(
             rng.normal(size=2) * 0.4,
             rng.normal() * 0.5,
             rng.normal(size=2) * 0.6,
@@ -403,13 +403,13 @@ def test_criterion_10_differentiated_equation(cap_run):
     def dec_jets(y):
         y = np.asarray(y, float)
         w = np.sqrt(1 + y @ y)
-        return Jet2(
+        return Jets(
             y, RADIUS * w + centre @ y, RADIUS * y / w + centre,
             RADIUS * (np.eye(2) / w - np.outer(y, y) / w**3),
         )
 
     defect_cap = rotations.differentiated_equation_check(
-        fld, dec_jets, cap_constant_psi(RHO, 1), 1, np.array([0.12, -0.2]),
+        fld, dec_jets, duality.DualPsi(cap_constant_psi(RHO, 1)), 1, np.array([0.12, -0.2]),
         h=1.0 / 128.0, body=body,
     )
     assert defect_cap <= 1e-8
@@ -432,7 +432,7 @@ def test_criterion_10_differentiated_equation(cap_run):
         y = np.asarray(y, float)
         w = np.sqrt(1 + y @ y)
         q, dq, hq = q_parts(y)
-        return Jet2(
+        return Jets(
             y, RADIUS * w + delta * q, RADIUS * y / w + delta * dq,
             RADIUS * (np.eye(2) / w - np.outer(y, y) / w**3) + delta * hq,
         )

@@ -4,7 +4,7 @@ import pytest
 from khgraph import bodies
 from khgraph.errors import GridConstructionError
 from khgraph.bodies import gauge_map
-from khgraph.grid import _logical_patch, build_grid
+from khgraph.grid import GridJetInterpolant, _logical_patch, build_grid
 from khgraph.meshfree import central_difference_jet, jet_weight_rows
 
 
@@ -269,7 +269,7 @@ class TestGrid:
         g = build_grid(bodies.ball(0.5), 16, 32)
         x, y = g.nodes[:, 0], g.nodes[:, 1]
         u = x**3 - 2 * x * y * y + 0.5 * y**3 + x * y
-        interp = g.jet_interpolant(u)
+        interp = GridJetInterpolant(g, u)
         rng = np.random.default_rng(3)
         for _ in range(20):
             t = rng.uniform(0, 2 * np.pi)
@@ -388,7 +388,7 @@ class TestBatchedStencils:
     def test_grid_jet_batch_matches_single_queries(self):
         g = build_grid(bodies.superellipse((0.5, 0.4), 4.0), 16, 32)
         x, y = g.nodes[:, 0], g.nodes[:, 1]
-        interp = g.jet_interpolant(np.exp(x - 0.5 * y) + x**4 * y)
+        interp = GridJetInterpolant(g, np.exp(x - 0.5 * y) + x**4 * y)
         rng = np.random.default_rng(11)
         # off-node gauge fractions: ring 1 (the widest inner window), a mid
         # ring, the one-sided band and slightly outside the boundary ring
@@ -400,14 +400,17 @@ class TestBatchedStencils:
         rings, rays = g.locate(queries)
         assert set(rings.tolist()) == set(bands)
         assert rings.shape == rays.shape == (fracs.size,)
-        batch = interp.jet(queries)
+        batch = interp(queries)
         assert batch.value.shape == (fracs.size,)
         assert batch.hessian.shape == (fracs.size, 2, 2)
-        grid_batch = interp.jet(queries.reshape(4, 6, 2))
+        assert np.array_equal(batch.point, queries)
+        grid_batch = interp(queries.reshape(4, 6, 2))
+        assert np.array_equal(grid_batch.point, queries.reshape(4, 6, 2))
         for i, q in enumerate(queries):
             assert g.locate(q) == (rings[i], rays[i])
-            one = interp.jet(q)
+            one = interp(q)
             assert one.value.shape == () and one.gradient.shape == (2,)
+            assert np.array_equal(one.point, q)
             for b, b2, o in zip(batch, grid_batch, one):
                 assert np.array_equal(b[i], o)
                 assert np.array_equal(b2[i // 6, i % 6], o)

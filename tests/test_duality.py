@@ -3,7 +3,7 @@ import pytest
 
 from khgraph import duality, geometry
 from khgraph.errors import OutOfImageError
-from khgraph.geometry import Jet2, Jets
+from khgraph.geometry import Jets
 from khgraph.meshfree import central_difference_jet
 from khgraph.psi import (
     cap_constant_psi,
@@ -17,15 +17,18 @@ RADIUS = float(np.sqrt(1 + RHO**2))
 
 
 def cap_jets(x):
+    """Jets of the spherical cap -sqrt(R^2 - |x|^2) at points x (..., n)."""
     x = np.asarray(x, dtype=float)
-    g = np.sqrt(RADIUS**2 - x @ x)
-    return Jet2(x, -g, x / g, np.eye(x.size) / g + np.outer(x, x) / g**3)
+    g = np.sqrt(RADIUS**2 - (x * x).sum(axis=-1))
+    gm = g[..., None, None]
+    outer = x[..., :, None] * x[..., None, :]
+    return Jets(x, -g, x / g[..., None], np.eye(x.shape[-1]) / gm + outer / gm**3)
 
 
 def cap_dual_jets(y):
     y = np.asarray(y, dtype=float)
     w = np.sqrt(1 + y @ y)
-    return Jet2(
+    return Jets(
         y, RADIUS * w, RADIUS * y / w,
         RADIUS * (np.eye(y.size) / w - np.outer(y, y) / w**3),
     )
@@ -34,7 +37,7 @@ def cap_dual_jets(y):
 def random_convex_jet(rng, n=2):
     b = rng.normal(size=(n, n))
     h = b @ b.T + (0.4 + rng.uniform()) * np.eye(n)
-    return Jet2(rng.normal(size=n) * 0.4, rng.normal() * 0.5,
+    return Jets(rng.normal(size=n) * 0.4, rng.normal() * 0.5,
                 rng.normal(size=n) * 0.6, h)
 
 
@@ -82,7 +85,7 @@ class TestProjection:
 
 class TestGaussImage:
     def test_paraboloid_identity_map(self):
-        jet = Jet2(np.array([0.3, -0.2]), 0.065, np.array([0.3, -0.2]), np.eye(2))
+        jet = Jets(np.array([0.3, -0.2]), 0.065, np.array([0.3, -0.2]), np.eye(2))
         np.testing.assert_allclose(duality.gauss_image(jet), jet.point, atol=0)
 
     def test_cap_closed_form(self):
@@ -113,10 +116,10 @@ class TestLegendre:
         pts = self.grid_points(0.8)
 
         def jets(x):
-            x = np.asarray(x, float)
-            return Jet2(x, 0.5 * x @ x, x, np.eye(2))
+            hess = np.broadcast_to(np.eye(2), x.shape + (2,))
+            return Jets(x, 0.5 * (x * x).sum(axis=-1), x, hess)
 
-        f = duality.SampledFunction(pts, [0.5 * p @ p for p in pts], jets=jets)
+        f = duality.SampledFunction(pts, 0.5 * (pts * pts).sum(axis=1), jets=jets)
         res = duality.legendre(f)
         np.testing.assert_allclose(
             res.values, 0.5 * (res.points**2).sum(axis=1), atol=1e-12
@@ -146,16 +149,29 @@ class TestLegendre:
                 dj.hessian @ pj.hessian, np.eye(2), atol=1e-11
             )
 
+    @pytest.mark.parametrize("oracle", ["exact", "sampled"])
+    def test_dual_jets_batch_equals_one_point_calls(self, oracle):
+        # one batched inversion answers a (3, 4) query grid exactly as the
+        # twelve one-point calls do, and every jet sits at its query
+        pts = self.grid_points(0.45, 13)
+        values = cap_jets(pts).value
+        f = duality.SampledFunction(pts, values, jets=cap_jets if oracle == "exact" else None)
+        res = duality.legendre(f)
+        ys = np.random.default_rng(8).uniform(-0.3, 0.3, (3, 4, 2))
+        batch = res.jets(ys)
+        assert batch.value.shape == (3, 4) and batch.hessian.shape == (3, 4, 2, 2)
+        assert np.array_equal(batch.point, ys)
+        for idx in np.ndindex(3, 4):
+            one = res.jets(ys[idx])
+            assert one.point.shape == (2,) and type(one.value) is np.float64
+            for got, want in zip(one, batch):
+                assert np.array_equal(got, want[idx])
+
     def test_out_of_image_error(self):
         # u = sqrt(1 + |x|^2) has gradient image strictly inside the unit
         # ball; a target outside it is unreachable and must error out
-        def jets(x):
-            x = np.asarray(x, float)
-            w = np.sqrt(1 + x @ x)
-            return Jet2(x, w, x / w, np.eye(2) / w - np.outer(x, x) / w**3)
-
         pts = self.grid_points(0.5)
-        f = duality.SampledFunction(pts, [jets(p).value for p in pts], jets=jets)
+        f = duality.SampledFunction(pts, hyperboloid_jets(pts).value, jets=hyperboloid_jets)
         with pytest.raises(OutOfImageError):
             duality.legendre(f, targets=np.array([[2.0, 0.0]]), tol=1e-12)
 
@@ -211,7 +227,7 @@ def hyperboloid_jets(x):
     """Batched jets of sqrt(1 + |x|^2), whose gradient image is the open unit ball."""
     w = np.sqrt(1 + (x * x).sum(axis=-1))[..., None]
     outer = x[..., :, None] * x[..., None, :]
-    return Jets(w[..., 0], x / w, np.eye(2) / w[..., None] - outer / w[..., None] ** 3)
+    return Jets(x, w[..., 0], x / w, np.eye(2) / w[..., None] - outer / w[..., None] ** 3)
 
 
 class TestInvertGradientMap:
@@ -219,12 +235,12 @@ class TestInvertGradientMap:
         # a cubic-fit grid oracle, as in primal recovery: targets are exact
         # gradient images of off-node points, seeds the located nodes
         from khgraph.bodies import gauge_map, superellipse
-        from khgraph.grid import build_grid
+        from khgraph.grid import GridJetInterpolant, build_grid
 
         g = build_grid(superellipse((0.42, 0.34), 4.0), 16, 32)
         y = g.nodes
         u = RADIUS * np.sqrt(1 + (y * y).sum(axis=1)) + 0.05 * (y**4).sum(axis=1)
-        oracle = g.jet_interpolant(u).jet
+        oracle = GridJetInterpolant(g, u)
         rng = np.random.default_rng(12)
         fracs, thetas = rng.uniform(0.2, 1.0, 40), rng.uniform(0, 2 * np.pi, 40)
         probes = gauge_map(g.body, fracs, thetas)
@@ -232,16 +248,16 @@ class TestInvertGradientMap:
         targets = RADIUS * probes / w + 0.2 * probes**3
         rings, rays = g.locate(probes)
         seeds = y[(rings - 1) * g.n_theta + rays]
-        x, at, iters = duality.invert_gradient_map(oracle, targets, seeds, tol=1e-10)
-        assert x.shape == (40, 2) and at.hessian.shape == (40, 2, 2)
+        at, iters = duality.invert_gradient_map(oracle, targets, seeds, tol=1e-10)
+        assert at.point.shape == (40, 2) and at.hessian.shape == (40, 2, 2)
         assert iters.max() >= 2  # the samples need different numbers of steps
         assert np.abs(at.gradient - targets).max() <= 1e-8
         for i in range(40):
-            xi, ai, ii = duality.invert_gradient_map(
+            ai, ii = duality.invert_gradient_map(
                 oracle, targets[i : i + 1], seeds[i : i + 1], tol=1e-10
             )
             assert ii[0] == iters[i]
-            np.testing.assert_allclose(xi[0], x[i], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(ai.point[0], at.point[i], rtol=0, atol=1e-14)
             for b, o in zip(at, ai):
                 np.testing.assert_allclose(o[0], b[i], rtol=1e-14, atol=1e-14)
 
@@ -255,7 +271,7 @@ class TestInvertGradientMap:
         np.testing.assert_array_equal(info.value.target, targets[2])
         # the reachable targets alone converge
         ok = [0, 1, 3]
-        x, at, _ = duality.invert_gradient_map(hyperboloid_jets, targets[ok], seeds[ok])
+        at, _ = duality.invert_gradient_map(hyperboloid_jets, targets[ok], seeds[ok])
         np.testing.assert_allclose(at.gradient, targets[ok], rtol=0, atol=1e-12)
 
 
@@ -280,7 +296,7 @@ class TestDualResidual:
             f_primal = symfun.eval_operator(
                 symfun.SpectrumRequest(pk.curvature_matrix, k, "primal")
             ).value
-            dual_jet = Jet2(
+            dual_jet = Jets(
                 jet.gradient,
                 jet.point @ jet.gradient - jet.value,
                 jet.point,
@@ -369,7 +385,7 @@ class TestSphericalHessian:
         for _ in range(10):
             y = rng.normal(size=2) * 0.8
             w = np.sqrt(1 + y @ y)
-            jet = Jet2(y, c * w, c * y / w,
+            jet = Jets(y, c * w, c * y / w,
                        c * (np.eye(2) / w - np.outer(y, y) / w**3))
             sd = duality.spherical_hessian(jet)
             np.testing.assert_allclose(sd.lambda_matrix, c * np.eye(2), atol=1e-13)
@@ -418,7 +434,7 @@ class TestSphericalHessian:
         for _ in range(100):
             jet = random_convex_jet(rng, 2)
             y = jet.gradient
-            dual_jet = Jet2(
+            dual_jet = Jets(
                 y, jet.point @ y - jet.value, jet.point, np.linalg.inv(jet.hessian)
             )
             sd = duality.spherical_hessian(dual_jet)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from khgraph import bodies, geometry, symfun
 from khgraph.errors import BoundaryMismatchError, ConeViolationError
-from khgraph.geometry import Jet2
+from khgraph.geometry import Jets
 from khgraph.psi import (
     cap_constant_psi,
     constant_psi,
@@ -15,13 +17,13 @@ from khgraph.psi import (
 def cap_jet(x, radius):
     x = np.asarray(x, dtype=float)
     g = np.sqrt(radius**2 - x @ x)
-    return Jet2(x, -g, x / g, np.eye(x.size) / g + np.outer(x, x) / g**3)
+    return Jets(x, -g, x / g, np.eye(x.size) / g + np.outer(x, x) / g**3)
 
 
 def random_convex_jet(rng, n=2, scale=0.5):
     b = rng.normal(size=(n, n))
     h = b @ b.T + (0.4 + rng.uniform()) * np.eye(n)
-    return Jet2(
+    return Jets(
         rng.normal(size=n) * scale,
         rng.normal() * scale,
         rng.normal(size=n) * scale,
@@ -29,9 +31,63 @@ def random_convex_jet(rng, n=2, scale=0.5):
     )
 
 
+def stack(jets):
+    """One Jets batch from 0-d jets of one dimension."""
+    return Jets(*(np.stack(field) for field in zip(*jets)))
+
+
+class TestJets:
+    """The one jet type: shapes checked against the point, Hessians symmetric."""
+
+    def test_zero_d_jet(self):
+        jet = Jets([0.1, 0.2], 0.5, [0.3, 0.4], np.eye(2))
+        assert jet.point.shape == (2,) and jet.dim == 2
+        assert type(jet.value) is np.float64
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["0d", "5", "2x3"])
+    def test_shape_mismatch_rejected(self, lead):
+        point, value = np.zeros(lead + (2,)), np.zeros(lead)
+        gradient, hessian = np.zeros(lead + (2,)), np.broadcast_to(np.eye(2), lead + (2, 2))
+        Jets(point, value, gradient, hessian)
+        bad = [
+            (point, value, np.zeros(lead + (3,)), hessian),
+            (point, value, gradient, np.broadcast_to(np.eye(3), lead + (3, 3))),
+            (point, np.zeros(lead + (1,)), gradient, hessian),
+            (np.zeros(lead + (3,)), value, gradient, hessian),
+            (np.zeros(lead), value, gradient, hessian),
+        ]
+        for fields in bad:
+            with pytest.raises(ValueError):
+                Jets(*fields)
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["0d", "5", "2x3"])
+    def test_asymmetric_hessian_rejected(self, lead):
+        hessian = np.broadcast_to(np.eye(2), lead + (2, 2)).copy()
+        hessian[(0,) * len(lead) + (0, 1)] = 1e-9
+        with pytest.raises(ValueError):
+            Jets(np.zeros(lead + (2,)), np.zeros(lead), np.zeros(lead + (2,)), hessian)
+
+    def test_hessian_stored_symmetrised(self):
+        hessian = np.array([[2.0, 0.5], [0.5 + 1e-15, 1.0]])
+        jet = Jets(np.zeros(2), 0.0, np.zeros(2), hessian)
+        assert np.array_equal(jet.hessian, jet.hessian.T)
+        assert np.array_equal(jet.hessian, 0.5 * (hessian + hessian.T))
+
+    def test_reshape_keeps_point(self):
+        rng = np.random.default_rng(31)
+        jets = stack([random_convex_jet(rng, 3) for _ in range(12)])
+        grid = jets.reshape((3, 4))
+        assert grid.point.shape == (3, 4, 3) and grid.value.shape == (3, 4)
+        for field, flat in zip(grid, jets):
+            assert np.array_equal(field.reshape(flat.shape), flat)
+        one = stack([random_convex_jet(rng, 3)])
+        assert np.array_equal(one.reshape(()).point, one.point[0])
+        assert type(one.reshape(()).value) is np.float64
+
+
 class TestCurvaturePack:
     def test_flat_gradient_point(self):
-        jet = Jet2(np.zeros(2), 0.0, np.zeros(2), np.eye(2))
+        jet = Jets(np.zeros(2), 0.0, np.zeros(2), np.eye(2))
         pk = geometry.curvature_pack(jet)
         assert pk.w == 1.0
         np.testing.assert_allclose(pk.g, np.eye(2), atol=0)
@@ -73,7 +129,7 @@ class TestCurvaturePack:
 
     def test_asymmetric_hessian_rejected(self):
         with pytest.raises(ValueError):
-            Jet2(np.zeros(2), 0.0, np.zeros(2), np.array([[1.0, 0.3], [0.1, 1.0]]))
+            Jets(np.zeros(2), 0.0, np.zeros(2), np.array([[1.0, 0.3], [0.1, 1.0]]))
 
 
 class TestPrimalResidual:
@@ -90,7 +146,7 @@ class TestPrimalResidual:
                 assert abs(res) <= 1e-12
 
     def test_paraboloid_at_origin(self):
-        jet = Jet2(np.zeros(2), 0.0, np.zeros(2), np.eye(2))
+        jet = Jets(np.zeros(2), 0.0, np.zeros(2), np.eye(2))
         res = geometry.primal_residual(jet, 1, constant_psi(1.0))
         assert res == pytest.approx(1.0, abs=1e-14)  # sigma_1(1,1) - 1
 
@@ -115,7 +171,7 @@ class TestPrimalResidual:
             assert res == pytest.approx(oracle, abs=1e-12)
 
     def test_cone_violation_propagates(self):
-        jet = Jet2(np.zeros(2), 0.0, np.zeros(2), np.diag([1.0, -0.2]))
+        jet = Jets(np.zeros(2), 0.0, np.zeros(2), np.diag([1.0, -0.2]))
         with pytest.raises(ConeViolationError):
             geometry.primal_residual(jet, 1, constant_psi(1.0))
 
@@ -127,7 +183,7 @@ class TestPrimalResidual:
             k = int(rng.integers(1, n + 1))
             jet = random_convex_jet(rng, n)
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            rot = Jet2(q.T @ jet.point, jet.value, q.T @ jet.gradient,
+            rot = Jets(q.T @ jet.point, jet.value, q.T @ jet.gradient,
                        q.T @ jet.hessian @ q)
             pk1 = geometry.curvature_pack(jet)
             pk2 = geometry.curvature_pack(rot)
@@ -139,7 +195,7 @@ class TestPrimalResidual:
 
 class TestPrimalLinearization:
     def test_radial_point_diagonal(self):
-        jet = Jet2(np.zeros(2), 0.0, np.zeros(2), np.eye(2))
+        jet = Jets(np.zeros(2), 0.0, np.zeros(2), np.eye(2))
         gij, gs, psis = geometry.primal_linearization(jet, 2, constant_psi(1.0))
         assert abs(gij[0, 1]) <= 1e-12
         assert gij[0, 0] == pytest.approx(gij[1, 1], abs=1e-12)
@@ -225,7 +281,7 @@ class TestObliqueness:
 
     def test_boundary_mismatch_error(self):
         target = bodies.ball(0.5)
-        jet = Jet2(np.zeros(2), 0.0, np.array([0.1, 0.0]), np.eye(2))
+        jet = Jets(np.zeros(2), 0.0, np.array([0.1, 0.0]), np.eye(2))
         with pytest.raises(BoundaryMismatchError):
             geometry.obliqueness_chi(jet, np.array([1.0, 0.0]), target)
 
@@ -242,14 +298,10 @@ class TestObliqueness:
         else:
             target = bodies.superellipse((0.42, 0.34), 4.0)
             du = target.boundary_param(thetas)
-            jets = [Jet2(np.zeros(2), 0.0, d, random_convex_jet(rng).hessian) for d in du]
+            jets = [Jets(np.zeros(2), 0.0, d, random_convex_jet(rng).hessian) for d in du]
             angles = thetas + np.pi + rng.uniform(-0.5, 0.5, thetas.size)
             nus = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        batch = geometry.Jets(
-            np.array([j.value for j in jets]),
-            np.stack([j.gradient for j in jets]),
-            np.stack([j.hessian for j in jets]),
-        )
+        batch = stack(jets)
         chi_def, chi_formula = geometry.obliqueness_chi(batch, nus, target)
         assert chi_def.shape == chi_formula.shape == (24,)
         for i, jet in enumerate(jets):
@@ -264,7 +316,7 @@ class TestObliqueness:
         off = batch.gradient.copy()
         off[5] *= 1.01
         with pytest.raises(BoundaryMismatchError):
-            geometry.obliqueness_chi(batch._replace(gradient=off), nus, target)
+            geometry.obliqueness_chi(dataclasses.replace(batch, gradient=off), nus, target)
 
     def test_formula_identity_off_symmetry(self):
         # chi_def^2 = u^{nu nu} u_{hh} holds for any defining level function
@@ -285,17 +337,12 @@ class TestObliqueness:
 def test_batch_rows_equal_single_jets(n, lead):
     rng = np.random.default_rng(300 + n)
     jets = [random_convex_jet(rng, n) for _ in range(int(np.prod(lead)))]
-    batch = geometry.Jets(
-        np.array([j.value for j in jets]),
-        np.stack([j.gradient for j in jets]),
-        np.stack([j.hessian for j in jets]),
-    ).reshape(lead)
-    points = np.stack([j.point for j in jets]).reshape(lead + (n,))
+    batch = stack(jets).reshape(lead)
     pack = geometry.curvature_pack(batch)
     psi = normal_poly_psi(3.0, linear=rng.uniform(-0.2, 0.2, n + 1))
     orders = sorted({1, (n + 1) // 2, n})
-    residual = {k: geometry.primal_residual(batch, k, psi, points) for k in orders}
-    support = geometry.support_value(batch, points)
+    residual = {k: geometry.primal_residual(batch, k, psi) for k in orders}
+    support = geometry.support_value(batch)
     for i, idx in enumerate(np.ndindex(*lead)):
         one = geometry.curvature_pack(jets[i])
         for field in ("w", "g", "g_inv", "b", "b_inv", "normal", "second_form",
@@ -310,16 +357,13 @@ def test_batch_rows_equal_single_jets(n, lead):
 def test_primal_residual_per_row_order(n):
     rng = np.random.default_rng(900 + n)
     jets = [random_convex_jet(rng, n) for _ in range(30)]
-    batch = geometry.Jets(np.array([j.value for j in jets]),
-                          np.stack([j.gradient for j in jets]),
-                          np.stack([j.hessian for j in jets]))
-    points = np.stack([j.point for j in jets])
+    batch = stack(jets)
     psi = normal_poly_psi(3.0, linear=rng.uniform(-0.2, 0.2, n + 1))
     k = rng.integers(1, n + 1, len(jets))
     k[:2] = (1, n)
-    residual = geometry.primal_residual(batch, k, psi, points)
+    residual = geometry.primal_residual(batch, k, psi)
     for i, jet in enumerate(jets):
         assert residual[i] == geometry.primal_residual(jet, int(k[i]), psi)
     k[5] = n + 1
     with pytest.raises(ValueError):
-        geometry.primal_residual(batch, k, psi, points)
+        geometry.primal_residual(batch, k, psi)

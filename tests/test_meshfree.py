@@ -205,6 +205,25 @@ def test_nearest_matches_sorted_distance_table(monkeypatch, case, k):
         assert (~apart).any()  # the lattice does exercise ties at the k-th distance
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_jet_interpolant_jets_sit_at_their_queries(degree):
+    # scattered samples of a smooth function; a (3, 5) query grid is one
+    # batched fit, each row the one-point call, each jet at its query
+    rng = np.random.default_rng(40 + degree)
+    points = rng.uniform(-1.0, 1.0, size=(120, 2))
+    values = np.exp(points[:, 0] - 0.3 * points[:, 1])
+    interp = meshfree.JetInterpolant(points, values, degree=degree)
+    queries = rng.uniform(-0.8, 0.8, size=(3, 5, 2))
+    batch = interp(queries)
+    assert np.array_equal(batch.point, queries)
+    assert batch.value.shape == (3, 5) and batch.hessian.shape == (3, 5, 2, 2)
+    for idx in np.ndindex(3, 5):
+        one = interp(queries[idx])
+        assert np.array_equal(one.point, queries[idx]) and one.value.shape == ()
+        for got, want in zip(one, batch):
+            assert np.array_equal(got, want[idx])
+
+
 def test_package_import_leaves_scipy_spatial_out():
     # a fresh interpreter, as perfbench/run.py times the import
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "

@@ -5,7 +5,7 @@ import pytest
 
 from khgraph import bodies, duality, rotations
 from khgraph.errors import HemisphereExitError, PreconditionError
-from khgraph.geometry import Jet2
+from khgraph.geometry import Jets
 from khgraph.grid import build_grid
 from khgraph.psi import cap_constant_psi
 
@@ -437,7 +437,7 @@ class TestFieldEval:
 
         hhess = np.array([[2 * coeff[4], coeff[3]], [coeff[3], 2 * coeff[5]]])
         y = rng.normal(size=2) * 0.3
-        jets = lambda q: Jet2(q, hfun(q), hgrad(q), hhess)  # noqa: E731
+        jets = lambda q: Jets(q, hfun(q), hgrad(q), hhess)  # noqa: E731
         tu, ttu, _ = rotations.derivative_along(fld, jets, y)
         errs1, errs2 = [], []
         for dt in (1e-3, 5e-4):
@@ -459,7 +459,7 @@ class TestFieldEval:
 class TestDerivativeAlong:
     def test_constant_function(self):
         fld, _ = disk_field()
-        jets = lambda y: Jet2(y, 3.7, np.zeros(2), np.zeros((2, 2)))  # noqa: E731
+        jets = lambda y: Jets(y, 3.7, np.zeros(2), np.zeros((2, 2)))  # noqa: E731
         assert rotations.derivative_along(fld, jets, np.array([0.1, 0.2])) == (
             0.0, 0.0, 0.0,
         )
@@ -468,7 +468,7 @@ class TestDerivativeAlong:
         # Hessian vanishes: TTu = (D_T T) . Du and D_TT u = 0
         fld, _ = disk_field()
         g = np.array([0.4, -1.1])
-        jets = lambda y: Jet2(y, g @ y, g, np.zeros((2, 2)))  # noqa: E731
+        jets = lambda y: Jets(y, g @ y, g, np.zeros((2, 2)))  # noqa: E731
         y = np.array([0.25, -0.1])
         tu, ttu, dttu = rotations.derivative_along(fld, jets, y)
         assert dttu == 0.0
@@ -485,7 +485,7 @@ class TestDerivativeAlong:
         bvec = rng.normal(size=2)
 
         def jets(y):
-            return Jet2(y, 0.5 * y @ a @ y + bvec @ y, a @ y + bvec, a)
+            return Jets(y, 0.5 * y @ a @ y + bvec @ y, a @ y + bvec, a)
 
         c, bm, _ = rotations.field_polynomial(fld)
         y = rng.normal(size=2) * 0.4
@@ -506,7 +506,7 @@ class TestDifferentiatedEquation:
         def jets(y):
             y = np.asarray(y, float)
             w = np.sqrt(1 + y @ y)
-            return Jet2(
+            return Jets(
                 y, RADIUS * w + centre @ y, RADIUS * y / w + centre,
                 RADIUS * (np.eye(2) / w - np.outer(y, y) / w**3),
             )
@@ -518,7 +518,8 @@ class TestDifferentiatedEquation:
         ps = cap_constant_psi(RHO, 1)
         jets = self.dual_jets_decentered(np.array([0.17, -0.08]))
         defect = rotations.differentiated_equation_check(
-            fld, jets, ps, 1, np.array([0.12, -0.2]), h=1.0 / 128.0, body=body
+            fld, jets, duality.DualPsi(ps), 1, np.array([0.12, -0.2]), h=1.0 / 128.0,
+            body=body,
         )
         assert defect <= 1e-8
 
@@ -530,7 +531,7 @@ class TestDifferentiatedEquation:
         batch = rotations.rotated_support(fld, y, u, du)
         assert batch.shape == (len(y),)
         loop = [rotations.rotated_support(fld, y[i], u[i], du[i]) for i in range(len(y))]
-        np.testing.assert_allclose(batch, loop, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(batch, loop)
 
     def test_zero_field_zero_defect(self):
         _, body = disk_field()
@@ -538,7 +539,7 @@ class TestDifferentiatedEquation:
         zero = rotations.make_field(y0, np.zeros(2), body)
         jets = self.dual_jets_decentered(np.zeros(2))
         defect = rotations.differentiated_equation_check(
-            zero, jets, cap_constant_psi(RHO, 1), 1, np.array([0.1, 0.1]),
+            zero, jets, duality.DualPsi(cap_constant_psi(RHO, 1)), 1, np.array([0.1, 0.1]),
             h=1.0 / 128.0,
         )
         assert defect == 0.0
@@ -549,6 +550,6 @@ class TestDifferentiatedEquation:
         near_edge = np.array([RHO - 1e-4, 0.0])
         with pytest.raises(PreconditionError):
             rotations.differentiated_equation_check(
-                fld, jets, cap_constant_psi(RHO, 1), 1, near_edge,
+                fld, jets, duality.DualPsi(cap_constant_psi(RHO, 1)), 1, near_edge,
                 h=1.0 / 32.0, body=body,
             )
