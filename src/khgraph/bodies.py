@@ -307,7 +307,7 @@ def ellipse(semi_axes, center=None, angle: float = 0.0) -> ConvexBody:
 
 
 def superellipse(
-    semi_axes, exponent: float, center=None, blend: float = 0.1
+    semi_axes, exponent: float = 4.0, center=None, blend: float = 0.1
 ) -> ConvexBody:
     """Blended superellipse: gauge^2 = (1-mu) [(x/a)^q + (y/b)^q]^(2/q) + mu [(x/a)^2 + (y/b)^2].
 

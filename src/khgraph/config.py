@@ -75,25 +75,14 @@ def build_body(spec: dict, where: str) -> bodies.ConvexBody:
     if kind == "ball":
         if "radius" not in spec or spec["radius"] <= 0:
             raise ConfigError(f"{where}.radius", "positive radius required")
-        body = bodies.ball(spec["radius"], spec.get("center"))
     elif not spec.get("semi_axes") or min(spec["semi_axes"]) <= 0:
         raise ConfigError(f"{where}.semi_axes", "two positive semi-axes required")
-    elif kind == "superellipse" and spec.get("exponent", 4.0) < 2.0:
-        raise StrictConvexityError(
-            f"{where}.exponent",
-            f"exponent {spec['exponent']} < 2 fails the uniform-concavity probe",
-        )
-    else:
-        axes, center = spec["semi_axes"], spec.get("center")
-        try:
-            if kind == "ellipse":
-                body = bodies.ellipse(axes, center, spec.get("angle", 0.0))
-            else:
-                body = bodies.superellipse(
-                    axes, spec.get("exponent", 4.0), center, spec.get("blend", 0.1)
-                )
-        except ValueError as exc:  # a gauge that is not finite and positive
-            raise StrictConvexityError(where, str(exc)) from exc
+    # the keys are the builder's parameter names; an absent one takes its default
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    try:
+        body = getattr(bodies, kind)(**params)
+    except ValueError as exc:  # an exponent below 2, or a gauge not finite and positive
+        raise StrictConvexityError(where, str(exc)) from exc
     theta_c = body.concavity_probe(n_samples=60, rng=0)
     if not theta_c > 1e-8:  # a NaN probe fails too
         raise StrictConvexityError(

@@ -233,14 +233,6 @@ class SampledFunction:
             self.jets = JetInterpolant(self.points, self.values, degree=2)
 
 
-@dataclass
-class LegendreResult(SampledFunction):
-    """Sampled Legendre transform: values of u* and gradients Du* = x(y)."""
-
-    gradients: np.ndarray = None
-    newton_iterations: np.ndarray = None
-
-
 def invert_gradient_map(
     jets: Callable[[np.ndarray], Jets],
     targets: np.ndarray,
@@ -317,7 +309,7 @@ def legendre(
     targets: Optional[np.ndarray] = None,
     tol: float = 1e-12,
     stall_tol: float = 1e-8,
-) -> LegendreResult:
+) -> SampledFunction:
     """Legendre transform of a sampled strictly convex function.
 
     u*(y) = x(y).y - u(x(y)) with x(y) the Newton inverse of the gradient
@@ -337,22 +329,14 @@ def legendre(
 
     def transform(ys: np.ndarray):
         seeds = f.points[nearest(grads, ys, 1)[:, 0]]
-        at, iters = invert_gradient_map(f.jets, ys, seeds, tol=tol, stall_tol=stall_tol)
-        return at, (at.point * ys).sum(axis=-1) - at.value, iters
-
-    at, values, iters = transform(targets)
+        at, _ = invert_gradient_map(f.jets, ys, seeds, tol=tol, stall_tol=stall_tol)
+        return at, (at.point * ys).sum(axis=-1) - at.value
 
     def dual_jets(ys: np.ndarray) -> Jets:
         ys = np.asarray(ys, dtype=float)
         flat = ys.reshape(-1, ys.shape[-1])
-        primal, value, _ = transform(flat)
+        primal, value = transform(flat)
         return Jets(flat, value, primal.point,
                     np.linalg.inv(primal.hessian)).reshape(ys.shape[:-1])
 
-    return LegendreResult(
-        points=targets,
-        values=values,
-        jets=dual_jets,
-        gradients=at.point,
-        newton_iterations=iters,
-    )
+    return SampledFunction(points=targets, values=transform(targets)[1], jets=dual_jets)

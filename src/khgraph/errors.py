@@ -22,37 +22,34 @@ class ConeViolationError(KHGraphError):
         nodes: optional node indices, set when raised during grid assembly.
     """
 
-    def __init__(self, eigenvalues, nodes=None, message=None):
+    def __init__(self, eigenvalues, nodes=None):
         self.eigenvalues = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
         self.nodes = None if nodes is None else np.atleast_1d(np.asarray(nodes))
-        if message is None:
-            message = f"spectrum outside the positive cone: {self.eigenvalues}"
-            if self.nodes is not None:
-                message += f" at nodes {self.nodes.tolist()}"
+        message = f"spectrum outside the positive cone: {self.eigenvalues}"
+        if self.nodes is not None:
+            message += f" at nodes {self.nodes.tolist()}"
         super().__init__(message)
 
 
 class BoundaryMismatchError(KHGraphError):
     """Gradient image is not on the target boundary within tolerance."""
 
-    def __init__(self, defect, tol, message=None):
+    def __init__(self, defect, tol):
         self.defect = float(defect)
         self.tol = float(tol)
         super().__init__(
-            message
-            or f"point is off the boundary level set: |h| = {self.defect:.3e} > {self.tol:.1e}"
+            f"point is off the boundary level set: |h| = {self.defect:.3e} > {self.tol:.1e}"
         )
 
 
 class OutOfImageError(KHGraphError):
     """Newton inversion of a gradient map failed to reach the requested point."""
 
-    def __init__(self, target, residual, message=None):
+    def __init__(self, target, residual):
         self.target = np.asarray(target, dtype=float)
         self.residual = float(residual)
         super().__init__(
-            message
-            or f"gradient map does not reach y = {self.target} (residual {self.residual:.3e})"
+            f"gradient map does not reach y = {self.target} (residual {self.residual:.3e})"
         )
 
 

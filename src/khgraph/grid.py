@@ -335,7 +335,9 @@ class GridJetInterpolant:
             rows = jet_weight_rows(g.nodes[patch], q[sel], STENCIL_DEGREE)
             for dst, src in zip(out, patch_jets(rows, self.values[patch])):
                 dst[sel] = src
-        return Jets(q, *out).reshape(query.shape[:-1])
+        lead, n = query.shape[:-1], query.shape[-1:]
+        value, grad, hess = out
+        return Jets(query, value.reshape(lead), grad.reshape(lead + n), hess.reshape(lead + n + n))
 
 
 def _quad_weights(body: ConvexBody, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:

@@ -290,5 +290,7 @@ class JetInterpolant:
         query = np.asarray(query, dtype=float)
         q = query.reshape(-1, self.dim)
         idx = nearest(self.points, q, self.n_neighbors)
-        rows = jet_weight_rows(self.points[idx], q, self.degree)
-        return Jets(q, *patch_jets(rows, self.values[idx])).reshape(query.shape[:-1])
+        value, grad, hess = patch_jets(jet_weight_rows(self.points[idx], q, self.degree),
+                                       self.values[idx])
+        lead, n = query.shape[:-1], query.shape[-1:]
+        return Jets(query, value.reshape(lead), grad.reshape(lead + n), hess.reshape(lead + n + n))

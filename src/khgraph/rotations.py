@@ -44,10 +44,11 @@ F*(w* b* D^2u* b*) = psi*(y, u*) along T gives, for phi = w* T(u*/w*)
 
     F*^ij (w* b* D^2 phi b*)_ij = T psi*_y + psi*_z T u*,
 
-whose gap equation_defect measures at one point.  The two checks of it
-differ only in how they get D^2 phi: differentiated_equation_check by
-central differences over a jet oracle, solver.differentiated_equation_defect
-by the grid stencils.
+whose gap equation_defect measures at an array of points.  The two checks
+of it differ only in how they get D^2 phi: differentiated_equation_check by
+central differences over a jet oracle at one point,
+solver.differentiated_equation_defect by the grid stencils at an array of
+nodes.
 """
 
 from __future__ import annotations
@@ -386,22 +387,23 @@ def rotated_support(field: RotationField, y, u, du) -> np.ndarray:
 
 def equation_defect(
     field: RotationField, jet: Jets, hess_phi: np.ndarray, star: DualPsi, k: int
-) -> float:
-    """Gap of the rotation-differentiated dual equation at jet.point.
+) -> np.ndarray:
+    """Gaps (...) of the rotation-differentiated dual equation at jet.point (..., n).
 
-    jet is the 2-jet of u* at one point, hess_phi the Hessian of
-    phi = rotated_support(...) there and star the dual right-hand side.
+    jet holds the 2-jets of u* at the points, hess_phi (..., n, n) the
+    Hessians of phi = rotated_support(...) there and star is the dual
+    right-hand side.  One point is the 0-d case, and each gap of a batch is
+    bit for bit the one-point call.
     """
     y = jet.point
     op = symfun.eval_operator(
         symfun.SpectrumRequest(argument_matrix(y, jet.hessian), k, "dual")
     )
-    lhs = float(np.sum(op.gradient * argument_matrix(y, hess_phi)))
+    lhs = (op.gradient * argument_matrix(y, hess_phi)).sum(axis=(-2, -1))
     tvec = field_eval(field, y)
-    rhs = float(tvec @ star.partial_y(y, jet.value)) + float(
-        star.partial_z(y, jet.value)
-    ) * float(tvec @ jet.gradient)
-    return abs(lhs - rhs)
+    rhs = (symfun.rowdot(tvec, star.partial_y(y, jet.value))
+           + star.partial_z(y, jet.value) * symfun.rowdot(tvec, jet.gradient))
+    return np.abs(lhs - rhs)[()]
 
 
 def differentiated_equation_check(

@@ -36,7 +36,8 @@ eps from the last two levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,13 +64,27 @@ GMRES_MAX_ITER = 10
 
 @dataclass
 class SolverState:
-    grid: Grid
+    """A converged continuation, the one input of every post-solve reader.
+
+    problem is the DualProblem solved (its grid, source body omega, k and
+    psi_base), u_star the solution of the last eps level and history one
+    record per level (continuation_solve lists the keys; history[-1] holds
+    the final eps, residual and mean_u).  gradient (N, 2) and hessians
+    (N, 2, 2) are u*'s stencil derivatives at the nodes, taken once.
+    """
+
     problem: DualProblem
     u_star: np.ndarray
-    eps: float
-    residual_norm: float
-    history: list = field(default_factory=list)  # one record per eps level
-    diagnostics: dict = field(default_factory=dict)
+    history: list
+    c_estimate: float
+    gradient: np.ndarray
+    hessians: np.ndarray
+
+    @cached_property
+    def argument_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues (N, 2) of the dual argument matrix at every node."""
+        nodes = self.problem.grid.nodes
+        return np.linalg.eigvalsh(duality.argument_matrix(nodes, self.hessians))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +234,12 @@ def initial_guess(grid: Grid, omega: ConvexBody) -> np.ndarray:
 
 
 def spd_repair(problem: DualProblem, u0: np.ndarray, spd_floor: float) -> np.ndarray:
-    """Blend an infeasible start toward the canonical convex profile.
+    """Blend a start below the SPD floor toward the canonical convex profile.
 
     The cap profile alpha * w_star is uniformly convex, so some convex
     combination restores the SPD floor; bisection finds a small blend.
     """
     anchor = initial_guess(problem.grid, problem.omega)
-    if problem.spd_margin(u0) >= spd_floor:
-        return u0
 
     def margin(t):
         return problem.spd_margin((1.0 - t) * u0 + t * anchor)
@@ -383,17 +396,16 @@ def newton_solve(
     )
 
 
-def primal_mean(problem: DualProblem, u: np.ndarray) -> float:
+def primal_mean(grid: Grid, u: np.ndarray, du: np.ndarray, h: np.ndarray) -> float:
     """Mean of the recovered primal u over the source domain.
 
     Pulls the integral back through the gradient map: x = Du*(y) maps the
     grid onto omega with area element det D^2u*(y) dy, and u(x) = x.y - u*.
+    du and h are u*'s nodal gradient and Hessians.
     """
-    du = problem.grid.gradient(u)
-    h = problem.grid.hessians(u)
     det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2
-    u_primal = (du * problem.grid.nodes).sum(axis=1) - u
-    w = problem.grid.quad_weights * det
+    u_primal = (du * grid.nodes).sum(axis=1) - u
+    w = grid.quad_weights * det
     return float((u_primal * w).sum() / w.sum())
 
 
@@ -426,10 +438,11 @@ def continuation_solve(
     Each history record holds the level's eps, Newton iterations, start and
     final residuals, primal mean, and the fresh factors and GMRES iterations
     its linear solves took.  c_estimate extrapolates
-    k * eps * mean(u_eps) linearly in eps to zero from the last two levels;
-    mean_u of the final level is recorded in the diagnostics.  A failing
-    level raises ContinuationError carrying the history records of the
-    levels completed before it.
+    k * eps * mean(u_eps) linearly in eps to zero from the last two levels.
+    The returned state keeps the last level's nodal gradient and Hessians,
+    which its primal mean was computed from.  A failing level raises
+    ContinuationError carrying the history records of the levels completed
+    before it.
     """
     schedule = list(eps_schedule)
     if not schedule or any(e <= 0 for e in schedule) or any(
@@ -461,7 +474,8 @@ def continuation_solve(
                 f"continuation failed at eps = {eps:g}: {exc}", history
             ) from exc
         solved = solved[-1:] + [(eps, u)]
-        mean_u = primal_mean(problem, u)
+        du, hess = grid.gradient(u), grid.hessians(u)
+        mean_u = primal_mean(grid, u, du, hess)
         history.append({"eps": eps, "iterations": iters, "start_residual": hist[0],
                         "residual": hist[-1], "mean_u": mean_u,
                         "factors": kept.factors - factors,
@@ -473,19 +487,8 @@ def continuation_solve(
         logc0 = g2 - e2 * (g1 - g2) / (e1 - e2)
     else:
         logc0 = logc[-1]
-    state = SolverState(
-        grid=grid,
-        problem=problem,
-        u_star=u,
-        eps=schedule[-1],
-        residual_norm=history[-1]["residual"],
-        history=history,
-    )
-    state.diagnostics.update(
-        c_estimate=float(np.exp(logc0)),
-        mean_u=history[-1]["mean_u"],
-    )
-    return state
+    return SolverState(problem=problem, u_star=u, history=history,
+                       c_estimate=float(np.exp(logc0)), gradient=du, hessians=hess)
 
 
 @dataclass
@@ -496,7 +499,7 @@ class PrimalRecovery:
     boundary_defect: float  # max |h_target(Du(x))| over boundary samples
 
 
-def recover_primal(state: SolverState, problem: DualProblem) -> PrimalRecovery:
+def recover_primal(state: SolverState) -> PrimalRecovery:
     """Invert the dual gradient map and report gradient-image fidelity.
 
     The node samples come for free (x = Du*(y), u(x) = x.y - u*); the
@@ -506,12 +509,10 @@ def recover_primal(state: SolverState, problem: DualProblem) -> PrimalRecovery:
     inversion is one batched invert_gradient_map call over all boundary
     samples, each seeded from the boundary node whose image is closest.
     """
-    grid = state.grid
-    u = state.u_star
-    du = grid.gradient(u)
+    grid, u, du = state.problem.grid, state.u_star, state.gradient
     values = (du * grid.nodes).sum(axis=1) - u
     thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
-    bnd_x = problem.omega.boundary_param(thetas)
+    bnd_x = state.problem.omega.boundary_param(thetas)
     images = du[grid.boundary_idx]
     seeds = grid.nodes[grid.boundary_idx[nearest(images, bnd_x, 1)[:, 0]]]
     at, _ = duality.invert_gradient_map(GridJetInterpolant(grid, u), bnd_x, seeds, tol=1e-10)
@@ -533,24 +534,20 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def diagnostics(state: SolverState, problem: DualProblem) -> dict:
+def diagnostics(state: SolverState) -> dict:
     """chi_min (both routes), M, M_tilde of a converged state.
 
-    The obliqueness of every boundary node comes from one batched
+    M is the largest argument-matrix eigenvalue over the nodes.  The
+    obliqueness of every boundary node comes from one batched
     geometry.obliqueness_chi call on the primal jets there.
     """
-    grid = state.grid
-    u = state.u_star
-    du = grid.gradient(u)
-    h = grid.hessians(u)
-    a = problem.argument_matrices(u)
-    lam = np.linalg.eigvalsh(a)
-    m_big = float(lam[:, -1].max())
+    grid, u, du, h = state.problem.grid, state.u_star, state.gradient, state.hessians
+    m_big = float(state.argument_eigenvalues[:, -1].max())
 
     bidx = grid.boundary_idx
     x = du[bidx]  # points on the source boundary
     # interior unit normals of the source boundary at the points x = Du*
-    nus = problem.omega.grad_h(x)
+    nus = state.problem.omega.grad_h(x)
     nus /= np.linalg.norm(nus, axis=1)[:, None]
     # primal jets at x through the Legendre pairing: Du = y, D^2u = (D^2u*)^{-1}
     hess = np.linalg.inv(h[bidx])
@@ -577,26 +574,23 @@ def diagnostics(state: SolverState, problem: DualProblem) -> dict:
 
 
 def differentiated_equation_defect(
-    state: SolverState,
-    problem: DualProblem,
-    fld: "rotations.RotationField",
-    eps: float,
-    node: int,
-) -> float:
+    state: SolverState, fld: "rotations.RotationField", eps: float, nodes
+) -> np.ndarray:
     """Grid-stencil version of the rotation-differentiated equation check.
 
-    phi = w* T(u*/w*) is built from the state's own stencil gradient and
-    differentiated by the same stencils, so the defect at an interior node is
-    O(h^2) plus the solve tolerance, away from the outer band.  Where the
-    windows change shape the defect spikes: the Hessian stencil applied to
-    a field built from the stencil gradient turns the O(h^3) jump in the
-    gradient's error into O(h).  At 16x32 ring N_r - 3, next to the
-    one-sided boundary windows, reads 1.2e-2 against about 2.5e-3
-    mid-domain, so the order test probes rings N_r/4..3N_r/4.
+    nodes is a node index or an integer array of them; the defects have its
+    shape, and each is bit for bit the one-node call.  phi = w* T(u*/w*) is
+    built from the state's own stencil gradient and differentiated by the
+    same stencils, so the defect at an interior node is O(h^2) plus the
+    solve tolerance, away from the outer band.  Where the windows change
+    shape the defect spikes: the Hessian stencil applied to a field built
+    from the stencil gradient turns the O(h^3) jump in the gradient's error
+    into O(h).  At 16x32 ring N_r - 3, next to the one-sided boundary
+    windows, reads 1.2e-2 against about 2.5e-3 mid-domain, so the order
+    test probes rings N_r/4..3N_r/4.
     """
-    grid = state.grid
-    u = state.u_star
-    du = grid.gradient(u)
-    hess_phi = grid.hessians(rotations.rotated_support(fld, grid.nodes, u, du))[node]
-    jet = geometry.Jets(grid.nodes[node], u[node], du[node], grid.hessians(u)[node])
+    problem, u, du = state.problem, state.u_star, state.gradient
+    grid = problem.grid
+    hess_phi = grid.hessians(rotations.rotated_support(fld, grid.nodes, u, du))[nodes]
+    jet = geometry.Jets(grid.nodes[nodes], u[nodes], du[nodes], state.hessians[nodes])
     return rotations.equation_defect(fld, jet, hess_phi, problem.dual_psi(eps), problem.k)

@@ -43,18 +43,14 @@ def ellipse_run():
     target = bodies.ellipse((0.45, 0.3))
     omega = bodies.ball(RHO)
     grid = build_grid(target, 20, 40)
-    state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
-    problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
-    return grid, state, problem
+    return grid, solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
 
 
 @pytest.fixture(scope="module")
 def cap_run():
     omega = bodies.ball(RHO)
     grid = build_grid(bodies.ball(RHO), 24, 48)
-    state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
-    problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
-    return grid, state, problem
+    return grid, solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +59,7 @@ def superellipse_run():
     target = bodies.superellipse((0.42, 0.34), 4.0)
     grid = build_grid(target, 16, 32)
     psi0 = normal_poly_psi(1.0, linear=[0.1, -0.05, 0.08])
-    state = solver.continuation_solve(grid, omega, 2, psi0)
-    problem = solver.DualProblem(grid, omega, 2, psi0)
-    return grid, state, problem
+    return grid, solver.continuation_solve(grid, omega, 2, psi0)
 
 
 def test_criterion_1_cap_reconstruction(tmp_path):
@@ -341,15 +335,15 @@ def test_criterion_6_jacobian_and_linearization_consistency():
 
 def test_criterion_7_obliqueness(cap_run, ellipse_run, superellipse_run):
     # symmetric cap: chi = 1 by definition and by the closed formula
-    grid, state, problem = cap_run
-    d = solver.diagnostics(state, problem)
+    grid, state = cap_run
+    d = solver.diagnostics(state)
     assert d["chi_min"] == pytest.approx(1.0, abs=1e-6)
     assert d["chi_formula_min"] == pytest.approx(1.0, abs=1e-6)
     chis = []
     for name, run in (("ellipse", ellipse_run), ("superellipse", superellipse_run)):
-        g, s, p = run
-        assert s.residual_norm <= solver.NEWTON_TOL
-        diag = solver.diagnostics(s, p)
+        g, s = run
+        assert s.history[-1]["residual"] <= solver.NEWTON_TOL
+        diag = solver.diagnostics(s)
         assert diag["chi_min"] > 0.0
         chis.append((name, diag["chi_min"]))
     report(
@@ -384,8 +378,8 @@ def test_criterion_9_gauss_image_fidelity(cap_run, ellipse_run, superellipse_run
     for name, run in (
         ("cap", cap_run), ("ellipse", ellipse_run), ("superellipse", superellipse_run)
     ):
-        grid, state, problem = run
-        rec = solver.recover_primal(state, problem)
+        grid, state = run
+        rec = solver.recover_primal(state)
         assert rec.hausdorff <= 2 * grid.spacing
         lines.append(f"{name} {rec.hausdorff:.1e} <= {2 * grid.spacing:.1e}")
     report(9, "Hausdorff(Du(dOmega), dOmega*): " + "; ".join(lines))

@@ -1,10 +1,12 @@
 """run_solve answers of the benchmark's solve configs at seed 0, pinned.
 
 The cap (k = 1, 32x64) and the superellipse (k = 2, 16x32) are the two
-instances the solve benchmark times.  The report values, details.json and
-the grid.csv digest are compared exactly, so a refactor that moves any
-iterate by one rounding shows here.  The fixture was written by the solver
-before the jet types were merged into one.
+instances the solve benchmark times; ellipse-k1 (32x64) adds a ball source
+with a non-ball target.  The report values, details.json and the grid.csv
+digest are compared exactly, so a refactor that moves any iterate by one
+rounding shows here.  solve_seed0.json was written by the solver before the
+jet types were merged into one, solve_ellipse_k1.json before the post-solve
+layer read u*'s derivatives from the solver state.
 """
 
 import hashlib
@@ -15,7 +17,12 @@ import pytest
 
 from khgraph import config, harness
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "solve_seed0.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = {
+    name: case
+    for fixture in ("solve_seed0.json", "solve_ellipse_k1.json")
+    for name, case in json.loads((DATA / fixture).read_text()).items()
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -335,7 +335,7 @@ class TestContinuation:
     def test_cap_constant_recovered(self, k):
         grid = build_grid(bodies.ball(RHO), 24, 48)
         state = solver.continuation_solve(grid, bodies.ball(RHO), k, constant_psi(1.0))
-        c = state.diagnostics["c_estimate"]
+        c = state.c_estimate
         assert c == pytest.approx(cap_exact_constant(RHO, k), rel=7e-3)
 
     def test_mean_monotone_and_eps_mean_bounded(self, cap_setup):
@@ -377,7 +377,7 @@ class TestContinuation:
         assert max(starts) <= 5e-2
         assert max(starts[2:]) <= 1e-3
         assert all(h["residual"] <= NEWTON_TOL for h in state.history)
-        c = state.diagnostics["c_estimate"]
+        c = state.c_estimate
         assert c == pytest.approx(cap_exact_constant(RHO, 1), rel=7e-3)
 
     @pytest.mark.parametrize("base", [
@@ -422,21 +422,19 @@ class TestRecoveryAndDiagnostics:
     def solved(self):
         grid = build_grid(bodies.ball(RHO), 24, 48)
         omega = bodies.ball(RHO)
-        state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
-        problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
-        return grid, state, problem
+        return grid, solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
 
     def test_recovered_primal_matches_cap_up_to_constant(self, solved):
-        grid, state, problem = solved
-        rec = solver.recover_primal(state, problem)
+        grid, state = solved
+        rec = solver.recover_primal(state)
         r = np.linalg.norm(rec.points, axis=1)
         exact = -np.sqrt(RADIUS**2 - r**2)
         shift = np.mean(rec.values - exact)
         assert np.abs(rec.values - exact - shift).max() <= 30 * grid.spacing**2
 
     def test_gauss_image_fidelity(self, solved):
-        grid, state, problem = solved
-        rec = solver.recover_primal(state, problem)
+        grid, state = solved
+        rec = solver.recover_primal(state)
         assert rec.hausdorff <= 2 * grid.spacing
         assert rec.boundary_defect <= grid.spacing**2
 
@@ -444,10 +442,10 @@ class TestRecoveryAndDiagnostics:
         # u -> u* -> u at node images reproduces the dual values; targets
         # stay on the mid-radius annulus where the scattered image cloud is
         # isotropic enough for the nearest-neighbor fits
-        grid, state, problem = solved
+        grid, state = solved
         from khgraph import duality
 
-        rec = solver.recover_primal(state, problem)
+        rec = solver.recover_primal(state)
         sample = duality.SampledFunction(rec.points, rec.values)
         r = np.linalg.norm(grid.nodes, axis=1)
         pick = np.where((r > 0.15) & (r < 0.4) & ~grid.is_boundary)[0][::29]
@@ -457,16 +455,16 @@ class TestRecoveryAndDiagnostics:
         )
 
     def test_cap_diagnostics_closed_forms(self, solved):
-        grid, state, problem = solved
-        d = solver.diagnostics(state, problem)
+        grid, state = solved
+        d = solver.diagnostics(state)
         assert d["chi_min"] == pytest.approx(1.0, abs=1e-6)
         assert d["chi_formula_min"] == pytest.approx(1.0, abs=1e-6)
         assert d["M"] == pytest.approx(RADIUS, abs=30 * grid.spacing**2)
         assert d["M_tilde"] == pytest.approx(1.25, abs=30 * grid.spacing**2)
 
     def test_m_dominates_mtilde_relation(self, solved):
-        grid, state, problem = solved
-        d = solver.diagnostics(state, problem)
+        grid, state = solved
+        d = solver.diagnostics(state)
         w2max = 1.0 + (grid.nodes[grid.boundary_idx] ** 2).sum(axis=1).max()
         assert d["M"] >= d["M_tilde"] / w2max - 1e-10
 
@@ -477,14 +475,12 @@ class TestEllipseTarget:
         target = bodies.ellipse((0.45, 0.3))
         omega = bodies.ball(RHO)
         grid = build_grid(target, 20, 40)
-        state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
-        problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
-        return grid, state, problem
+        return grid, solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
 
     def test_convergence_and_positivity(self, solved):
-        grid, state, problem = solved
-        assert state.residual_norm <= solver.NEWTON_TOL
-        d = solver.diagnostics(state, problem)
+        grid, state = solved
+        assert state.history[-1]["residual"] <= solver.NEWTON_TOL
+        d = solver.diagnostics(state)
         assert d["chi_min"] > 0
         assert d["chi_gap_max"] <= 1e-5
 
@@ -495,8 +491,7 @@ class TestEllipseTarget:
         for nr, nt in ((12, 24), (24, 48)):
             grid = build_grid(target, nr, nt)
             state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
-            problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
-            gaps.append(solver.diagnostics(state, problem)["chi_gap_max"])
+            gaps.append(solver.diagnostics(state)["chi_gap_max"])
         assert gaps[1] < gaps[0] / 2
 
     def test_rotational_equivariance_of_solution(self):
@@ -518,33 +513,39 @@ class TestEllipseTarget:
 
 
 class TestDifferentiatedEquationOnStates:
-    def test_defect_second_order_under_grid_refinement(self):
+    @pytest.fixture(scope="class")
+    def solved(self):
+        """(grid, state) of the cap at eps = 0.2 on 16x32 and 32x64, and the field."""
         omega = bodies.ball(RHO)
-        fld = rotations.make_field(
-            bodies.ball(RHO).boundary_param(0.7),
-            bodies.ball(RHO).boundary_tangent(0.7),
-            bodies.ball(RHO),
-        )
-        defects = []
+        fld = rotations.make_field(omega.boundary_param(0.7), omega.boundary_tangent(0.7), omega)
+        runs = []
         for nr, nt in ((16, 32), (32, 64)):
             grid = build_grid(bodies.ball(RHO), nr, nt)
-            problem = solver.DualProblem(grid, omega, 1, constant_psi(1.0))
-            state = solver.continuation_solve(
-                grid, omega, 1, constant_psi(1.0), eps_schedule=[0.4, 0.2]
-            )
-            probe = [
-                grid.flat_index(ring, ray)
-                for ring in range(nr // 4, 3 * nr // 4, max(1, nr // 8))
-                for ray in range(0, nt, nt // 8)
-            ]
-            defects.append(
-                max(
-                    solver.differentiated_equation_defect(
-                        state, problem, fld, 0.2, node
-                    )
-                    for node in probe
-                )
-            )
+            runs.append((grid, solver.continuation_solve(
+                grid, omega, 1, constant_psi(1.0), eps_schedule=[0.4, 0.2])))
+        return runs, fld
+
+    @staticmethod
+    def probe(grid):
+        """Nodes on rings N_r/4..3N_r/4 (stride N_r/8) by 8 rays, (rings, rays)."""
+        rings = np.arange(grid.n_r // 4, 3 * grid.n_r // 4, max(1, grid.n_r // 8))
+        return grid.flat_index(rings[:, None], np.arange(0, grid.n_theta, grid.n_theta // 8))
+
+    def test_defect_second_order_under_grid_refinement(self, solved):
+        runs, fld = solved
+        defects = [
+            solver.differentiated_equation_defect(state, fld, 0.2, self.probe(grid)).max()
+            for grid, state in runs
+        ]
         # pointwise rates are noisy (the phi field stacks two stencil
         # applications); the probe-set maximum must at least halve
         assert defects[1] < defects[0] / 2.0
+
+    def test_node_array_is_one_node_calls(self, solved):
+        runs, fld = solved
+        grid, state = runs[0]
+        nodes = np.concatenate([self.probe(grid).ravel(), grid.boundary_idx[::5]])
+        batch = solver.differentiated_equation_defect(state, fld, 0.2, nodes)
+        assert batch.shape == nodes.shape
+        one = [solver.differentiated_equation_defect(state, fld, 0.2, int(n)) for n in nodes]
+        assert batch.tolist() == one
