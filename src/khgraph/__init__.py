@@ -2,13 +2,12 @@
 gradient image: geometry kernels, Legendre duality, rotation fields, and the
 dual oblique-boundary solver."""
 
-from . import bodies, duality, geometry, grid, psi, rotations, symfun
+from . import bodies, duality, geometry, psi, rotations, symfun
 
 __all__ = [
     "bodies",
     "duality",
     "geometry",
-    "grid",
     "psi",
     "rotations",
     "symfun",

@@ -21,7 +21,6 @@ import numpy as np
 from . import bodies, rotations
 from .config import parse_config
 from .errors import ConfigError, ContinuationError, KHGraphError
-from .harness import run_solve
 from .registry import INSTANCES, get_instance
 from .verify import SUITES, run_verify
 
@@ -57,6 +56,9 @@ def _vec(text: str) -> np.ndarray:
 
 
 def cmd_solve(args) -> int:
+    # the solver layer (scipy) loads only here, so verify and field never pay it
+    from .harness import run_solve
+
     try:
         if args.instance:
             cfg = get_instance(args.instance)

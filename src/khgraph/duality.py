@@ -334,9 +334,9 @@ def legendre(
 
     def dual_jets(ys: np.ndarray) -> Jets:
         ys = np.asarray(ys, dtype=float)
-        flat = ys.reshape(-1, ys.shape[-1])
-        primal, value = transform(flat)
-        return Jets(flat, value, primal.point,
-                    np.linalg.inv(primal.hessian)).reshape(ys.shape[:-1])
+        lead, n = ys.shape[:-1], ys.shape[-1:]
+        primal, value = transform(ys.reshape(-1, n[0]))
+        return Jets(ys, value.reshape(lead), primal.point.reshape(lead + n),
+                    np.linalg.inv(primal.hessian).reshape(lead + n + n))
 
     return SampledFunction(points=targets, values=transform(targets)[1], jets=dual_jets)

@@ -40,12 +40,12 @@ def run_solve(cfg: ProblemConfig, out_dir: str) -> SolveReport:
         )
     except ContinuationError as exc:
         report = SolveReport(
-            c_estimate=float("nan"),
+            c_estimate=None,
             residual_history=_residual_history(exc.completed_levels),
-            chi_min=float("nan"),
-            M=float("nan"),
-            M_tilde=float("nan"),
-            mean_u=float("nan"),
+            chi_min=None,
+            M=None,
+            M_tilde=None,
+            mean_u=None,
             grid_dump_path="",
             wall_time=time.perf_counter() - t0,
             convergence_flag=False,

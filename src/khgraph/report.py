@@ -12,22 +12,27 @@ CSV_COLUMNS = ("y1", "y2", "u_star", "du1", "du2", "lambda_min", "lambda_max")
 
 @dataclass
 class SolveReport:
-    c_estimate: float
+    """The answer of one solve; a failed solve has None (JSON null) for
+    c_estimate, chi_min, M, M_tilde and mean_u, and only its completed levels
+    in residual_history."""
+
+    c_estimate: float | None
     residual_history: list  # [eps, iterations, residual] per level
-    chi_min: float
-    M: float
-    M_tilde: float
-    mean_u: float
+    chi_min: float | None
+    M: float | None
+    M_tilde: float | None
+    mean_u: float | None
     grid_dump_path: str
     wall_time: float
     convergence_flag: bool
 
     def to_json(self) -> str:
-        """Canonical serialization: sorted keys, repr floats, trailing newline.
+        """Canonical strict JSON: sorted keys, repr floats, trailing newline.
 
-        parse(to_json()) followed by to_json() is byte-identical.
+        parse(to_json()) followed by to_json() is byte-identical; a NaN or an
+        infinity raises ValueError instead of writing a non-JSON token.
         """
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SolveReport":

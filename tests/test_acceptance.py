@@ -385,7 +385,7 @@ def test_criterion_9_gauss_image_fidelity(cap_run, ellipse_run, superellipse_run
     report(9, "Hausdorff(Du(dOmega), dOmega*): " + "; ".join(lines))
 
 
-def test_criterion_10_differentiated_equation(cap_run):
+def test_criterion_10_differentiated_equation():
     # (a) exact decentered cap state, constant psi: both sides vanish, the
     # finite-difference defect at h = 1/128 is far below 1e-8
     body = bodies.ball(RHO)

@@ -249,7 +249,17 @@ class TestCli:
         with pytest.raises(ContinuationError) as err:
             harness.run_solve(cfg, str(tmp_path))
         assert len(err.value.completed_levels) == 2
-        rep = report.SolveReport.from_json((tmp_path / "report.json").read_text())
+        text = (tmp_path / "report.json").read_text()
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token} in report.json")
+
+        # strict JSON: no NaN or Infinity token; the failed solve's answers are null
+        raw = json.loads(text, parse_constant=reject)
+        for key in ("c_estimate", "chi_min", "M", "M_tilde", "mean_u"):
+            assert raw[key] is None
+        rep = report.SolveReport.from_json(text)
+        assert rep.to_json() == text
         assert not rep.convergence_flag
         assert [row[:2] for row in rep.residual_history] == [
             [0.4, done[0][1]],
