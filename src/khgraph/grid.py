@@ -12,11 +12,17 @@ consecutive rays; near the center the patch takes as many rays as it needs
 to span about one ring gap across the rays (see _logical_patch).  That
 makes first and second derivatives exact on cubics and second-order
 accurate on smooth functions on every ring.  All windows of a ring have one
-shape, so the stencils are built one ring at a time, each ring's fits in
-one batched jet_weight_rows call; each fit solves for the six jet
-functionals only, in long double (see meshfree).  The five operators share
-one CSR pattern and apply as CSR products on centred differences; the
-boundary ring, the last N_theta rows, applies alone.
+shape, and the stencils are written ring by ring into preallocated CSR
+tables; each fit solves for the six jet functionals only, in long double
+(see meshfree).  A grid is circular when every ring is a circle about the
+interior point (the gauge radius is constant, as on every ball); its
+windows on one ring are then rotations of one another, so only ray 0's
+window of each ring is fitted, all rings of one window shape in one
+batched jet_weight_rows call, and ray i takes ray 0's weights turned by
+theta_i.  Any other grid fits every window of a ring in one batched call
+per ring.  The five operators share one CSR pattern and apply as CSR
+products on centred differences; the boundary ring, the last N_theta
+rows, applies alone.
 """
 
 from __future__ import annotations
@@ -58,17 +64,16 @@ class Stencils:
     through its slice of the pattern.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+                 rowsums: np.ndarray):
         self.indptr, self.indices, self.weights = indptr, indices, weights
+        # row sums (5, n) are the (tiny) defect of the stored weights on
+        # constants; they are accumulated in extended precision so they do
+        # not re-introduce the cancellation the centered application avoids
+        self.rowsums = rowsums
         self.n = indptr.size - 1
         self.rows = np.repeat(np.arange(self.n), np.diff(indptr))
         self.diag = np.flatnonzero(indices == self.rows)  # every window holds its node
-        # row sums are the (tiny) defect of the stored weights on constants;
-        # accumulate them in extended precision so they do not re-introduce
-        # the cancellation the centered application avoids
-        sums = np.zeros((len(weights), self.n), dtype=np.longdouble)
-        np.add.at(sums, (slice(None), self.rows), weights.astype(np.longdouble))
-        self.rowsums = sums.astype(float)
         self._blocks = {}  # (first row, end row) -> one CSR matrix per operator
 
     def apply(self, u: np.ndarray, which=slice(None), rows=slice(None)) -> np.ndarray:
@@ -178,6 +183,8 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
 
     n_nodes = n_r * n_theta
     nodes = gauge_map(body, radii[:, None], thetas[None, :]).reshape(n_nodes, 2)
+    rho = body.gauge_radius(thetas)
+    circular = bool(np.all(rho == rho[0]))  # every ring a circle about the interior point
     # star-shapedness / boundary placement sanity
     bidx = np.arange((n_r - 1) * n_theta, n_nodes)
     level = float(np.abs(body.h(nodes[bidx])).max())
@@ -187,11 +194,11 @@ def build_grid(body: ConvexBody, n_r: int, n_theta: int) -> Grid:
     is_boundary = np.zeros(n_nodes, dtype=bool)
     is_boundary[bidx] = True
 
-    stencils = _build_stencils(nodes, n_r, n_theta, radii)
+    stencils = _build_stencils(nodes, radii, thetas, circular)
     ops = {name: StencilOp(stencils, i) for i, name in enumerate(OPS)}
     _validate_stencils(nodes, stencils)
 
-    quad = _quad_weights(body, radii, thetas)
+    quad = _quad_weights(radii, rho)
 
     # grid 'h': largest node separation near the boundary
     last = nodes[bidx]
@@ -246,14 +253,7 @@ def _logical_patch(j: int, i, n_r: int, n_theta: int, radii: np.ndarray):
     alias short azimuthal modes out of the rows and leave the assembled
     Jacobian with near-null oscillatory directions.
     """
-    half = STENCIL_RINGS // 2
-    if j + half > n_r:
-        j_lo, j_hi = max(1, n_r - STENCIL_RINGS_ONESIDED + 1), n_r
-    else:
-        j_lo, j_hi = max(1, j - half), j + half
-    gap = radii[j - 1] - (radii[j - 2] if j > 1 else 0.0)
-    arc = 2.0 * np.pi * radii[j - 1] / n_theta
-    k = max(STENCIL_RAYS // 2, int(np.ceil(gap / arc)))
+    j_lo, j_hi, k = _window_shape(j, n_r, n_theta, radii)
     i = np.asarray(i)
     # ascending ray order within each ring keeps the fit's summation order,
     # and with it the weights to the last bit
@@ -262,24 +262,79 @@ def _logical_patch(j: int, i, n_r: int, n_theta: int, radii: np.ndarray):
     return (ring_starts[:, None] + rays[..., None, :]).reshape(i.shape + (-1,))
 
 
+def _window_shape(j: int, n_r: int, n_theta: int, radii: np.ndarray) -> tuple[int, int, int]:
+    """(first ring, last ring, k) of ring j's windows; rays i-k..i+k (see _logical_patch)."""
+    half = STENCIL_RINGS // 2
+    if j + half > n_r:
+        j_lo, j_hi = max(1, n_r - STENCIL_RINGS_ONESIDED + 1), n_r
+    else:
+        j_lo, j_hi = max(1, j - half), j + half
+    gap = radii[j - 1] - (radii[j - 2] if j > 1 else 0.0)
+    arc = 2.0 * np.pi * radii[j - 1] / n_theta
+    return j_lo, j_hi, max(STENCIL_RAYS // 2, int(np.ceil(gap / arc)))
+
+
 def _build_stencils(
-    nodes: np.ndarray, n_r: int, n_theta: int, radii: np.ndarray
+    nodes: np.ndarray, radii: np.ndarray, thetas: np.ndarray, circular: bool
 ) -> Stencils:
-    """The five derivative operators, fitted one ring at a time in one batched call."""
+    """The five derivative operators, written ring by ring into preallocated CSR tables.
+
+    A circular grid fits ray 0's window of each ring, the rings of one
+    window shape in one batched call, and turns those weights onto the
+    other rays (_turn_window); any other grid fits every window of a ring
+    in one batched call per ring.  Row sums accumulate each row's weights
+    in stored order, in long double.
+    """
+    n_r, n_theta = radii.size, thetas.size
     rays = np.arange(n_theta)
-    widths, cols, vals = [], [], []
-    for j in range(1, n_r + 1):
-        idx = (j - 1) * n_theta + rays
-        patch = _logical_patch(j, rays, n_r, n_theta, radii)  # (n_theta, m)
-        _, w_grad, w_hess = jet_weight_rows(nodes[patch], nodes[idx], STENCIL_DEGREE)
-        widths.append(np.full(n_theta, patch.shape[1]))
-        cols.append(patch.ravel())
-        vals.append(np.stack([w_grad[:, 0], w_grad[:, 1], w_hess[:, 0, 0],
-                              w_hess[:, 0, 1], w_hess[:, 1, 1]]).reshape(5, -1))
-    # windows list their nodes in ascending order and rows come in order,
-    # so the concatenated windows are the CSR indices as they stand
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(widths))])
-    return Stencils(indptr, np.concatenate(cols), np.concatenate(vals, axis=1))
+    shapes = [_window_shape(j, n_r, n_theta, radii) for j in range(1, n_r + 1)]
+    widths = [(j_hi - j_lo + 1) * (2 * k + 1) for j_lo, j_hi, k in shapes]
+    # rows come in order and each window lists its nodes ascending, so the
+    # windows laid end to end are the CSR indices as they stand
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(widths, n_theta))])
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    weights = np.empty((len(OPS), indptr[-1]))
+    rowsums = np.empty((len(OPS), n_r * n_theta))
+    fit_rays = rays[:1] if circular else rays
+    batches = {}  # circular: the rings of one window shape; else one ring each
+    for j, (j_lo, j_hi, k) in enumerate(shapes, start=1):
+        batches.setdefault((j_hi - j_lo, k) if circular else j, []).append(j)
+    for rings in batches.values():
+        patch = np.stack([_logical_patch(j, fit_rays, n_r, n_theta, radii) for j in rings])
+        centers = nodes[(np.array(rings)[:, None] - 1) * n_theta + fit_rays]
+        _, w_grad, w_hess = jet_weight_rows(nodes[patch], centers, STENCIL_DEGREE)
+        fitted = np.stack([w_grad[..., 0, :], w_grad[..., 1, :], w_hess[..., 0, 0, :],
+                           w_hess[..., 0, 1, :], w_hess[..., 1, 1, :]])  # (5, rings, rays, m)
+        for t, j in enumerate(rings):
+            w = fitted[:, t]  # (5, rays, m)
+            if circular:
+                w = _turn_window(w[:, 0], shapes[j - 1][2], thetas)
+            lo, hi = (j - 1) * n_theta, j * n_theta
+            a, b = indptr[lo], indptr[hi]
+            indices[a:b] = _logical_patch(j, rays, n_r, n_theta, radii).ravel()
+            weights[:, a:b] = w.reshape(len(OPS), -1)
+            rowsums[:, lo:hi] = np.cumsum(w.astype(np.longdouble), axis=-1)[..., -1]
+    return Stencils(indptr, indices, weights, rowsums)
+
+
+def _turn_window(w0: np.ndarray, k: int, thetas: np.ndarray) -> np.ndarray:
+    """Every ray's weights (5, N_theta, m) on a circular ring, from ray 0's (5, m).
+
+    Ray i's window is ray 0's turned by R = R(theta_i) about the interior
+    point, so its gradient rows are R w and its Hessian rows R W R^T.  Within
+    each ring of the window, ray 0's columns are reordered so that ray i's
+    rays come ascending, as _logical_patch lists them.
+    """
+    n_theta, width = thetas.size, 2 * k + 1
+    rays0 = np.sort(np.arange(-k, k + 1) % n_theta)
+    order = np.argsort((rays0 + np.arange(n_theta)[:, None]) % n_theta, axis=1)
+    blocks = np.arange(w0.shape[1] // width)[:, None] * width
+    gx, gy, a, b, d = w0[:, (blocks + order[:, None, :]).reshape(n_theta, -1)]
+    c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    return np.stack([c * gx - s * gy, s * gx + c * gy,
+                     c * c * a - 2.0 * c * s * b + s * s * d,
+                     c * s * (a - d) + (c * c - s * s) * b,
+                     s * s * a + 2.0 * c * s * b + c * c * d])
 
 
 def _validate_stencils(nodes: np.ndarray, stencils: Stencils) -> None:
@@ -340,14 +395,14 @@ class GridJetInterpolant:
         return Jets(query, value.reshape(lead), grad.reshape(lead + n), hess.reshape(lead + n + n))
 
 
-def _quad_weights(body: ConvexBody, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _quad_weights(radii: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Trapezoid-in-r (with the r=0 zero), uniform-in-theta quadrature weights.
 
-    Integrates f over the body: the gauge map (r, theta) -> c + r rho(theta) d(theta)
-    has area element r rho(theta)^2 dr dtheta.
+    Integrates f over the body with gauge radii rho on the rays: the gauge
+    map (r, theta) -> c + r rho(theta) d(theta) has area element
+    r rho(theta)^2 dr dtheta.
     """
     gaps = np.diff(radii, prepend=0.0)
     w_rad = 0.5 * (gaps + np.append(gaps[1:], 0.0))
-    rho2 = body.gauge_radius(thetas) ** 2
-    dtheta = 2.0 * np.pi / thetas.size
-    return ((w_rad * radii)[:, None] * rho2[None, :] * dtheta).ravel()
+    dtheta = 2.0 * np.pi / rho.size
+    return ((w_rad * radii)[:, None] * (rho**2)[None, :] * dtheta).ravel()

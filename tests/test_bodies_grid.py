@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from khgraph import bodies
+from khgraph import grid as grid_module
 from khgraph.errors import GridConstructionError
 from khgraph.bodies import gauge_map
 from khgraph.grid import GridJetInterpolant, _logical_patch, build_grid
@@ -384,6 +385,66 @@ class TestBatchedStencils:
             assert np.array_equal(st.apply(u, which), scattered_sum(which))
         assert np.array_equal(g.boundary_gradient(u),
                               scattered_sum(slice(0, 2)).T[g.boundary_idx])
+
+    @staticmethod
+    def per_ray_stencils(g):
+        """Reference tables: every window of a ring fitted, row sums scattered in long double."""
+        rays = np.arange(g.n_theta)
+        indices, weights = [], []
+        for j in range(1, g.n_r + 1):
+            patch = _logical_patch(j, rays, g.n_r, g.n_theta, g.radii)
+            centers = g.nodes[(j - 1) * g.n_theta + rays]
+            _, w_grad, w_hess = jet_weight_rows(g.nodes[patch], centers, 3)
+            indices.append(patch)
+            weights.append(np.stack([w_grad[:, 0], w_grad[:, 1], w_hess[:, 0, 0],
+                                     w_hess[:, 0, 1], w_hess[:, 1, 1]]).reshape(5, -1))
+        widths = np.concatenate([np.full(g.n_theta, p.shape[1]) for p in indices])
+        indptr = np.concatenate([[0], np.cumsum(widths)])
+        weights = np.concatenate(weights, axis=1)
+        sums = np.zeros((5, g.n_nodes), dtype=np.longdouble)
+        np.add.at(sums, (slice(None), np.repeat(np.arange(g.n_nodes), widths)),
+                  weights.astype(np.longdouble))
+        return indptr, np.concatenate([p.ravel() for p in indices]), weights, sums.astype(float)
+
+    @pytest.mark.parametrize("name", ["ball", "off-center ball"])
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 32), (32, 64)])
+    def test_circular_stencils_match_per_ray_fit(self, name, n_r, n_theta):
+        # a ball's windows on one ring are rotations of ray 0's; the turned
+        # weights agree with fitting every window to rounding
+        g = build_grid(BODIES[name](), n_r, n_theta)
+        indptr, indices, weights, rowsums = self.per_ray_stencils(g)
+        st = g.stencils
+        np.testing.assert_array_equal(st.indptr, indptr)
+        np.testing.assert_array_equal(st.indices, indices)
+        scale = np.abs(weights).max(axis=1)
+        assert (np.abs(st.weights - weights).max(axis=1) <= 1e-13 * scale).all()
+        assert (np.abs(st.rowsums - rowsums).max(axis=1) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("body, n_r, n_theta", [
+        (bodies.ellipse((0.45, 0.3), angle=0.3), 16, 32),
+        (bodies.ellipse((0.45, 0.3), angle=0.3), 32, 64),
+        (bodies.superellipse((0.5, 0.4), 4.0), 16, 32),
+    ], ids=["ellipse-16x32", "ellipse-32x64", "superellipse-16x32"])
+    def test_noncircular_stencils_are_the_per_ray_fit(self, body, n_r, n_theta):
+        g = build_grid(body, n_r, n_theta)
+        indptr, indices, weights, rowsums = self.per_ray_stencils(g)
+        st = g.stencils
+        for got, ref in zip((st.indptr, st.indices, st.weights, st.rowsums),
+                            (indptr, indices, weights, rowsums)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name, fits_per_ring", [("ball", 1), ("off-center ball", 1),
+                                                     ("ellipse", 32)])
+    def test_circular_grid_fits_one_window_per_ring(self, name, fits_per_ring, monkeypatch):
+        patches = []
+
+        def counting(points, center, degree):
+            patches.append(np.prod(points.shape[:-2], dtype=int))
+            return jet_weight_rows(points, center, degree)
+
+        monkeypatch.setattr(grid_module, "jet_weight_rows", counting)
+        build_grid(BODIES[name](), 16, 32)
+        assert sum(patches) == 16 * fits_per_ring
 
     def test_grid_jet_batch_matches_single_queries(self):
         g = build_grid(bodies.superellipse((0.5, 0.4), 4.0), 16, 32)
