@@ -110,8 +110,8 @@ class DualChartPack:
 def dual_chart_pack(jet_star: Jets) -> DualChartPack:
     """The pack of jets of u*, of any leading axes, at their points."""
     dual = argument_matrix(jet_star.point, jet_star.hessian)
-    radii, _ = symfun.jacobi_eigh(dual)
-    return DualChartPack(dual_matrix=dual, radii=radii)
+    # eigh, not eigvalsh, as in geometry.curvature_pack
+    return DualChartPack(dual_matrix=dual, radii=np.linalg.eigh(dual).eigenvalues)
 
 
 def gauss_image(jet: Jets) -> np.ndarray:

@@ -102,7 +102,8 @@ def curvature_pack(jet: Jets) -> CurvaturePack:
     b = eye - outer / (wm * (1.0 + wm))
     a = (b @ hess @ b) / wm
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    kappa, _ = symfun.jacobi_eigh(a)
+    # eigh, the route of symfun.eval_operator; eigvalsh rounds differently for n > 2
+    kappa = np.linalg.eigh(a).eigenvalues
     normal = np.concatenate([-du, np.ones(du.shape[:-1] + (1,))], axis=-1) / w[..., None]
     return CurvaturePack(
         w=w,

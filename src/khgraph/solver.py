@@ -132,7 +132,7 @@ class DualProblem:
         self.omega = omega
         self.k = k
         self.psi_base = psi_base
-        # cached for the argument matrices and the Jacobian's chain rule
+        # cached for the Jacobian's chain rule
         self.wstar = duality.wstar(grid.nodes)
         self.bstar = duality.bstar(grid.nodes)
         self.interior = grid.interior_idx
@@ -149,11 +149,8 @@ class DualProblem:
         return float((0.5 * (tr - disc)).min())
 
     def argument_matrices(self, u: np.ndarray) -> np.ndarray:
-        """duality.argument_matrix at every node, from the cached w* and b*."""
-        h = self.grid.hessians(u)
-        bhb = self.bstar @ h @ self.bstar
-        a = self.wstar[:, None, None] * bhb
-        return 0.5 * (a + a.transpose(0, 2, 1))
+        """duality.argument_matrix at every node."""
+        return duality.argument_matrix(self.grid.nodes, self.grid.hessians(u))
 
     def boundary_h(self, du: np.ndarray) -> np.ndarray:
         """omega's defining function at the boundary gradients: the boundary rows."""

@@ -6,17 +6,17 @@ exact reciprocals of each other, which is the algebraic backbone of the
 Legendre duality used everywhere else in the package.
 
 All functions here are pure and thread-safe.  The working range is small dense
-symmetric matrices (n <= 8); eigenvalues come from a cyclic Jacobi iteration
-rather than LAPACK so that the test suite can cross-check the two routes.
+symmetric matrices (n <= 8); eigenpairs come from LAPACK through
+np.linalg.eigh, whose gufunc factors each matrix on its own.  The tests keep a
+one-matrix cyclic Jacobi iteration as the LAPACK-independent oracle.
 
 Broadcast contract: every kernel takes leading axes, matrices (..., n, n) and
 spectra (..., n), and one matrix is the 0-d case of the same code.  Each batch
-row is bit for bit the one-matrix call: the Jacobi sweeps run per matrix in
-the same pair order with the same formulas and stop test (a matrix whose test
-passes is frozen while the rest sweep on), matrix products go through the same
-BLAS call per row, and the 1/k-th powers use np.float_power, which calls libm's
-pow.  np.power on arrays takes a vectorised pow (AVX-512 on x86) that is up to
-1 ulp from libm's, so it would move a value between a batch and a single call.
+row is bit for bit the one-matrix call: eigh runs the same LAPACK call per
+matrix, matrix products go through the same BLAS call per row, and the 1/k-th
+powers use np.float_power, which calls libm's pow.  np.power on arrays takes a
+vectorised pow (AVX-512 on x86) that is up to 1 ulp from libm's, so it would
+move a value between a batch and a single call.
 A cone violation anywhere in a batch raises ConeViolationError with the
 spectrum of the lowest-index failing item.
 """
@@ -24,7 +24,6 @@ spectrum of the lowest-index failing item.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -104,113 +103,6 @@ def sigma_drop(lam: np.ndarray) -> np.ndarray:
     j = np.arange(n - 1)
     rest = j + (j >= np.arange(n)[:, None])  # row p: 0..n-1 without p
     return sigma_all(lam[..., rest])
-
-
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (m, n, n), by the same BLAS dot as np.linalg.norm."""
-    flat = a.reshape(len(a), a.shape[1] * a.shape[2])
-    return np.sqrt(rowdot(flat, flat))
-
-
-# 0-d constants: a Python float operand costs a conversion on every ufunc call
-_HALF, _ONE, _TINY, _BIG = (np.array(x) for x in (0.5, 1.0, 1e-300, 1e150))
-_FLIP = np.array([-1.0, 1.0])
-
-
-def _sweep_views(av: np.ndarray, n: int):
-    """Views into the live blocks av (m, 2n, n) that a sweep reads and writes.
-
-    Per pair p < q in cyclic order: a_pq, a_pp, a_qq, rows p and q (m, 2, n)
-    with each of the two alone, and columns p and q (m, 2n, 2) with each
-    alone.  Then the coefficient buffers each pair rewrites in place: cs holds
-    (c, s) and sc holds (-s, c), with the views the updates read.
-    """
-    pairs = []
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            rows, cols = av[:, p:q + 1:q - p], av[:, :, p:q + 1:q - p]
-            pairs.append((av[:, p, q], av[:, p, p], av[:, q, q],
-                          rows, rows[:, :1], rows[:, 1:], cols, cols[:, :, :1], cols[:, :, 1:]))
-    cs, sc = np.empty((len(av), 2)), np.empty((len(av), 2))
-    return pairs, (cs, sc, cs[:, 0], cs[:, 1], cs[:, ::-1],
-                   cs[:, :, None], sc[:, :, None], cs[:, None], sc[:, None])
-
-
-def _sweep(pairs: list, coeffs: tuple) -> None:
-    """One cyclic sweep of rotations over every pair, in place, on all live matrices.
-
-    Per matrix this is the one-matrix iteration: a pair whose a_pq is below
-    1e-300 is skipped (c = 1, s = 0 leaves it unchanged bit for bit).
-    """
-    cs, sc, c, s, cs_rev, cs_rows, sc_rows, cs_cols, sc_cols = coeffs
-    m = len(cs)
-    for apq, app, aqq, rows, rp, rq, cols, cp, cq in pairs:
-        skip = np.abs(apq) <= _TINY
-        nskip = np.count_nonzero(skip)
-        if nskip == m:
-            continue
-        theta = _HALF * (aqq - app) / apq
-        t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + _ONE))
-        if np.count_nonzero(t) < m:
-            # t is 0 only at theta == 0 or where theta^2 overflowed;
-            # for 1e150 < |theta| below overflow it already equals 0.5/theta
-            t = np.where(theta == 0.0, 1.0, np.where(np.abs(theta) > _BIG, 0.5 / theta, t))
-        np.reciprocal(np.sqrt(t * t + _ONE), out=c)
-        np.multiply(t, c, out=s)
-        if nskip:
-            cs[skip] = (1.0, 0.0)
-        np.multiply(cs_rev, _FLIP, out=sc)
-        # rows p, q become (c rp - s rq, s rp + c rq); then columns alike
-        rows[...] = rp * cs_rows + rq * sc_rows
-        cols[...] = cp * cs_cols + cq * sc_cols
-
-
-def jacobi_eigh(a: np.ndarray):
-    """Eigen-decomposition of symmetric matrices by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, orthogonal matrix V with columns matching)
-    for a (..., n, n): shapes (..., n) and (..., n, n).  Each matrix iterates
-    full sweeps, at most 60, until its off-diagonal Frobenius norm drops below
-    1e-13 * ||A||_F; from then on it is frozen and the rotations act on the
-    matrices still sweeping.
-    """
-    a = require_symmetric(a)
-    lead, n = a.shape[:-2], a.shape[-1]
-    a = a.reshape(-1, n, n)
-    m, eye = len(a), np.eye(n)
-    # rows :n of each block hold A, rows n: hold V, so that one column
-    # rotation turns A's columns and V's together
-    av = np.empty((m, 2 * n, n))
-    av[:, :n] = a
-    av[:, n:] = eye
-    tol = 1e-13 * np.maximum(_frobenius(a), 1e-300)
-    offdiag = 1.0 - eye
-    work, live, views = av, np.arange(m), None
-    # a skipped pair divides by a zero a_pq; its c, s are replaced after
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(60):
-            # summed directly: ||A||^2 - ||diag A||^2 cancels below sqrt(eps) ||A||
-            stop = _frobenius(work[:, :n] * offdiag) <= tol
-            nstop = np.count_nonzero(stop)
-            if nstop:
-                if work is not av:
-                    av[live] = work
-                if nstop == len(live):
-                    break
-                keep = ~stop
-                work, live, tol, views = work[keep], live[keep], tol[keep], None
-            if views is None:
-                views = _sweep_views(work, n)
-            _sweep(*views)
-        else:
-            if work is not av:
-                av[live] = work
-    lam = np.diagonal(av[:, :n], axis1=1, axis2=2)
-    order = lam.argsort(axis=-1)
-    items = np.arange(m)[:, None]
-    lam = lam[items, order]
-    vec = av[:, n:].swapaxes(1, 2)[items, order].swapaxes(1, 2)
-    return lam.reshape(lead + (n,)), vec.reshape(lead + (n, n))
 
 
 @dataclass
@@ -318,12 +210,13 @@ def _merge_degenerate(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def eval_operator(req: SpectrumRequest) -> OperatorValue:
     """Evaluate F or F* with its matrix gradient by the spectral chain rule.
 
-    The gradient is V diag(dphi/dlambda) V^T from the Jacobi decomposition;
+    The gradient is V diag(dphi/dlambda) V^T from LAPACK's per-matrix eigh;
     near-degenerate eigenvalue pairs take the divided-difference (cluster
-    averaged) partials.  Raises ConeViolationError when a spectrum leaves
+    averaged) partials, so the gradient does not depend on the basis eigh
+    picks inside a cluster.  Raises ConeViolationError when a spectrum leaves
     the positive cone.  Fields carry req.A's leading axes.
     """
-    lam, v = jacobi_eigh(req.A)
+    lam, v = np.linalg.eigh(req.A)
     bad = lam[..., 0] <= 0.0
     if np.count_nonzero(bad):
         raise ConeViolationError(_first(lam, bad))
@@ -376,33 +269,3 @@ def duality_product(kappa: np.ndarray, k: int):
     primal = eval_operator(SpectrumRequest(kappa[..., None] * eye, k, "primal"))
     dual = eval_operator(SpectrumRequest((1.0 / kappa)[..., None] * eye, k, "dual"))
     return primal.value * dual.value
-
-
-@dataclass
-class ConeReport:
-    """Report-only cone membership: positivity of the lambda_i and the sigma_j."""
-
-    eigenvalues: np.ndarray
-    sigmas: np.ndarray  # sigma_1..sigma_n
-    lambda_min: float
-    strictly_convex: bool  # lambda_min > 0
-    on_boundary: bool  # some lambda_i == 0 within tolerance, none negative
-
-
-def cone_check(lam: np.ndarray, tol: float = 1e-12) -> ConeReport:
-    """Classify a spectrum against the positive cone (never raises)."""
-    lam = np.sort(np.asarray(lam, dtype=float).ravel())
-    sig = sigma_all(lam)[1:]
-    lam_min = float(lam[0])
-    scale = max(1.0, float(np.abs(lam).max()))
-    return ConeReport(
-        eigenvalues=lam,
-        sigmas=sig,
-        lambda_min=lam_min,
-        strictly_convex=lam_min > tol * scale,
-        on_boundary=abs(lam_min) <= tol * scale,
-    )
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -18,6 +18,8 @@ bit the one-sample call, so the details match those of a per-sample loop.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from . import bodies, duality, geometry, rotations, symfun
@@ -61,7 +63,7 @@ def check_newton_maclaurin(seed):
         e = symfun.sigma_all(np.array(lams))
         # float_power: libm's pow, the scalar ** of a single sample
         vals = np.stack([
-            np.float_power(e[:, k] / symfun.binomial(n, k), 1.0 / k)
+            np.float_power(e[:, k] / comb(n, k), 1.0 / k)
             for k in range(1, n + 1)
         ], axis=-1)
         worst = max(worst, np.diff(vals, axis=-1).max())

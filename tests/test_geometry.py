@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from khgraph import bodies, geometry, symfun
+from khgraph import bodies, duality, geometry, symfun
 from khgraph.errors import BoundaryMismatchError, ConeViolationError
 from khgraph.geometry import Jets
 from khgraph.psi import (
@@ -339,6 +339,7 @@ def test_batch_rows_equal_single_jets(n, lead):
     jets = [random_convex_jet(rng, n) for _ in range(int(np.prod(lead)))]
     batch = stack(jets).reshape(lead)
     pack = geometry.curvature_pack(batch)
+    dual = duality.dual_chart_pack(batch)
     psi = normal_poly_psi(3.0, linear=rng.uniform(-0.2, 0.2, n + 1))
     orders = sorted({1, (n + 1) // 2, n})
     residual = {k: geometry.primal_residual(batch, k, psi) for k in orders}
@@ -348,6 +349,9 @@ def test_batch_rows_equal_single_jets(n, lead):
         for field in ("w", "g", "g_inv", "b", "b_inv", "normal", "second_form",
                       "curvature_matrix", "kappa"):
             assert np.array_equal(getattr(pack, field)[idx], getattr(one, field)), field
+        one_dual = duality.dual_chart_pack(jets[i])
+        assert np.array_equal(dual.dual_matrix[idx], one_dual.dual_matrix)
+        assert np.array_equal(dual.radii[idx], one_dual.radii)
         assert support[idx] == geometry.support_value(jets[i])
         for k in orders:
             assert residual[k][idx] == geometry.primal_residual(jets[i], k, psi)

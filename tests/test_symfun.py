@@ -1,9 +1,12 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
-from itertools import combinations
 
-from khgraph import symfun
+from khgraph import duality, geometry, symfun
 from khgraph.errors import ConeViolationError
+from khgraph.geometry import Jets
 from khgraph.symfun import SpectrumRequest
 
 
@@ -12,7 +15,7 @@ def test_sigma_k_small_cases():
     for n in (2, 4, 7):
         for k in range(1, n + 1):
             assert symfun.sigma_k(np.ones(n), k) == pytest.approx(
-                symfun.binomial(n, k), rel=1e-14
+                comb(n, k), rel=1e-14
             )
 
 
@@ -30,15 +33,74 @@ def test_sigma_k_order_out_of_range():
         symfun.sigma_k([1.0, 2.0], 0)
 
 
+def _scalar_jacobi(a):
+    """One-matrix cyclic Jacobi iteration: the LAPACK-independent eigen oracle."""
+    a = np.asarray(a, dtype=float)
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    v = np.eye(n)
+    norm = max(np.linalg.norm(a), 1e-300)
+    for _ in range(60):
+        off = np.linalg.norm(a - np.diag(np.diag(a)))
+        if off <= 1e-13 * norm:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                if theta == 0.0:
+                    t = 1.0
+                elif abs(theta) > 1e150:
+                    t = 0.5 / theta
+                else:
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    lam = np.diag(a).copy()
+    order = np.argsort(lam)
+    return lam[order], v[:, order]
+
+
 def test_jacobi_matches_lapack():
+    # the three eigen kernels against the oracle, special matrices included
     rng = np.random.default_rng(1)
-    for n in range(2, 9):
-        a = rng.normal(size=(n, n))
-        a = a + a.T
-        lam, vec = symfun.jacobi_eigh(a)
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(a), atol=1e-12)
-        np.testing.assert_allclose(vec @ vec.T, np.eye(n), atol=1e-13)
-        np.testing.assert_allclose((vec * lam) @ vec.T, a, atol=1e-12)
+    for n in range(1, 9):
+        a = _batch_inputs(n, (8,), rng)
+        jets = Jets(rng.uniform(-0.5, 0.5, (8, n)), np.zeros(8),
+                    rng.uniform(-0.5, 0.5, (8, n)), a)
+        lam = symfun.eval_operator(SpectrumRequest(a, 1, "primal")).eigenvalues
+        pack = geometry.curvature_pack(jets)
+        dual = duality.dual_chart_pack(jets)
+        for got, mats in ((lam, a), (pack.kappa, pack.curvature_matrix),
+                          (dual.radii, dual.dual_matrix)):
+            for i in range(8):
+                ref, vec = _scalar_jacobi(mats[i])
+                scale = max(1.0, float(np.abs(mats[i]).max()))
+                np.testing.assert_allclose(got[i], ref, rtol=0, atol=1e-12 * scale)
+                np.testing.assert_allclose(vec @ vec.T, np.eye(n), rtol=0, atol=1e-13)
+                np.testing.assert_allclose((vec * ref) @ vec.T, mats[i], rtol=0,
+                                           atol=1e-12 * scale)
+
+
+def test_nan_entry_gives_nan_eigenvalues():
+    # LAPACK's eigenvalue-only route returns [0, -0] on this matrix; in the
+    # two jet kernels the NaN spreads over the whole matrix through b H b
+    a = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    lam = symfun.eval_operator(SpectrumRequest(a, 1, "primal")).eigenvalues
+    jet = Jets(np.zeros(2), 0.0, np.zeros(2), a)
+    for got in (lam, geometry.curvature_pack(jet).kappa, duality.dual_chart_pack(jet).radii):
+        assert np.isnan(got).any()
 
 
 def test_eval_operator_identity_matrix():
@@ -109,7 +171,7 @@ def test_newton_transform_matches_spectral_gradient():
         k = int(rng.integers(1, n + 1))
         b = rng.normal(size=(n, n))
         a = b @ b.T + 0.5 * np.eye(n)
-        lam, vec = symfun.jacobi_eigh(a)
+        lam, vec = _scalar_jacobi(a)
         # spectral route for sigma_k (not the 1/k power); slightly less
         # accurate than the matrix polynomial when the spectrum clusters
         drops = symfun.sigma_drop(lam)
@@ -152,16 +214,6 @@ def test_duality_product_rejects_nonpositive():
         symfun.duality_product([1.0, 0.0, 2.0], 1)
 
 
-def test_cone_check_reports():
-    inside = symfun.cone_check([1.0, 1.0])
-    assert inside.strictly_convex and not inside.on_boundary
-    outside = symfun.cone_check([1.0, -0.5])
-    assert not outside.strictly_convex and outside.lambda_min == pytest.approx(-0.5)
-    boundary = symfun.cone_check([0.0, 1.0, 2.0])
-    assert boundary.on_boundary and not boundary.strictly_convex
-    assert inside.sigmas.shape == (2,)
-
-
 def test_newton_maclaurin_monotone():
     rng = np.random.default_rng(6)
     worst = 0.0
@@ -169,7 +221,7 @@ def test_newton_maclaurin_monotone():
         n = int(rng.integers(2, 7))
         lam = rng.uniform(0.05, 3.0, n)
         vals = [
-            (symfun.sigma_k(lam, k) / symfun.binomial(n, k)) ** (1.0 / k)
+            (symfun.sigma_k(lam, k) / comb(n, k)) ** (1.0 / k)
             for k in range(1, n + 1)
         ]
         worst = max(worst, float(np.max(np.diff(vals))))
@@ -217,49 +269,11 @@ def test_asymmetric_input_rejected():
 # --- batch contract ---------------------------------------------------------
 
 
-def _scalar_jacobi(a):
-    """The one-matrix cyclic Jacobi iteration, kept as the oracle of the batched one."""
-    a = np.asarray(a, dtype=float)
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = max(np.linalg.norm(a), 1e-300)
-    for _ in range(60):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= 1e-13 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    lam = np.diag(a).copy()
-    order = np.argsort(lam)
-    return lam[order], v[:, order]
-
-
 def _batch_inputs(n, lead, rng):
-    """SPD matrices of shape lead + (n, n), with a diagonal item (every pair
-    skipped), a near-degenerate one (the cluster-merge branch), a conjugated
-    near-degenerate one and a block-diagonal one (some pairs skipped)."""
+    """SPD matrices of shape lead + (n, n), with a diagonal item (the Jacobi
+    oracle skips every pair), a near-degenerate one (the cluster-merge
+    branch), a conjugated near-degenerate one and a block-diagonal one (some
+    pairs skipped)."""
     count = int(np.prod(lead))
     mats = []
     for _ in range(count):
@@ -280,8 +294,6 @@ def _batch_inputs(n, lead, rng):
 def test_batch_rows_equal_single_calls(n, lead):
     rng = np.random.default_rng(100 + n)
     a = _batch_inputs(n, lead, rng)
-    lam, vec = symfun.jacobi_eigh(a)
-    assert lam.shape == lead + (n,) and vec.shape == lead + (n, n)
     kappa = rng.uniform(0.05, 4.0, lead + (n,))
     drops = symfun.sigma_drop(kappa)
     orders = sorted({1, (n + 1) // 2, n})  # the ends and the middle of the drop table
@@ -291,8 +303,6 @@ def test_batch_rows_equal_single_calls(n, lead):
     }
     products = {k: symfun.duality_product(kappa, k) for k in orders}
     for idx in np.ndindex(*lead):
-        one_lam, one_vec = symfun.jacobi_eigh(a[idx])
-        assert np.array_equal(lam[idx], one_lam) and np.array_equal(vec[idx], one_vec)
         assert np.array_equal(drops[idx], symfun.sigma_drop(kappa[idx]))
         for k in range(1, n + 1):
             assert symfun.sigma_k(kappa, k)[idx] == symfun.sigma_k(kappa[idx], k)
@@ -304,28 +314,6 @@ def test_batch_rows_equal_single_calls(n, lead):
                 assert batch.value[idx] == one.value
                 assert np.array_equal(batch.gradient[idx], one.gradient)
                 assert np.array_equal(batch.eigenvalues[idx], one.eigenvalues)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_jacobi_bit_identical_to_scalar_oracle(n):
-    rng = np.random.default_rng(200 + n)
-    a = _batch_inputs(n, (40,), rng)
-    lam, vec = symfun.jacobi_eigh(a)
-    for i in range(len(a)):
-        one_lam, one_vec = _scalar_jacobi(a[i])
-        assert np.array_equal(lam[i], one_lam)
-        assert np.array_equal(vec[i], one_vec)
-
-
-def test_batched_jacobi_freezes_converged_matrices():
-    # a diagonal matrix stops before the first sweep while the others rotate
-    rng = np.random.default_rng(9)
-    b = rng.normal(size=(5, 5))
-    a = np.stack([np.diag([3.0, 1.0, 2.0, 5.0, 4.0]), b @ b.T + np.eye(5)])
-    lam, vec = symfun.jacobi_eigh(a)
-    assert np.array_equal(lam[0], [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.array_equal(np.abs(vec[0]), np.eye(5)[:, [1, 2, 0, 4, 3]])
-    assert np.array_equal(lam[1], _scalar_jacobi(a[1])[0])
 
 
 @pytest.mark.parametrize("mode", ["primal", "dual"])

@@ -3,8 +3,7 @@
 The checks batch their samples; each batch row is bit for bit the
 one-sample call, so any change of grouping, kernel batching or draw order
 that moves a single sample moves a detail here.  The fixture was written by
-the per-sample checks before the rotation fields and the per-row orders
-were batched.
+the checks whose spectral kernels take their eigenpairs from LAPACK's eigh.
 """
 
 import json
