@@ -17,8 +17,9 @@ of shape, so each level starts from a prediction: a secant in eps through the
 last two solutions, then the constant that balances exp(eps u*) against F* in
 the mean.  That shift is exact, since a constant leaves D^2u* and Du*
 unchanged and scales the exponential term by exp(eps s).
-The grid is planar, so F* is det/tr (k = 1) or sqrt(det) (k = 2) of its
-argument, evaluated in closed form; symfun.eval_operator is its oracle.
+The grid is planar, so F* sees its argument only through det and tr, both
+read in closed form off D^2u* (dual_operator_batch); symfun.eval_operator is
+its oracle.
 Newton is inexact: each step only has to meet the forcing term
 |J s + F| <= min(min(0.1, |F|) |F|, tol/100) in the sup norm.  A
 continuation keeps one SuperLU factor (minimum degree on J^T J, SuperLU's
@@ -91,28 +92,34 @@ class SolverState:
 # batched dual-operator evaluation (hot path; cross-checked against symfun)
 
 
-def dual_operator_batch(mats: np.ndarray, k: int):
-    """(F*, dF*/dA) of the dual operator (sigma_2/sigma_{2-k})^(1/k) on 2x2 matrices.
+def dual_operator_batch(hess: np.ndarray, y: np.ndarray, k: int):
+    """(F*, dF*/dH) of the planar dual operator at Hessians hess (m, 2, 2) of u* at y (m, 2).
 
-    det/tr with gradient cof(A)/tr - det I/tr^2 for k = 1, sqrt(det) with
-    gradient cof(A)/(2 sqrt(det)) for k = 2; a symmetric 2x2 matrix is SPD
-    exactly when tr > 0 and det > 0.  The tests pin this closed form against
-    symfun.eval_operator, the independent n-dimensional oracle.
+    The argument A = w* b* H b* enters (sigma_2/sigma_{2-k})^(1/k) only via
+    det A = w*^4 det H and tr A = w* tr(G H), G = I + y y^T: F* is
+    w*^3 det H / tr(G H) for k = 1 and w*^2 sqrt(det H) for k = 2.  The
+    gradient is rows (3, m) against (H11, H12 + H21, H22), i.e. (dxx, dxy,
+    dyy).  A is congruent to H, so SPD exactly when tr H > 0 and det H > 0;
+    off the cone the error carries the first failing node's spectrum of A.
+    The tests pin this against symfun.eval_operator(duality.argument_matrix).
     """
-    a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-    tr = a + c
+    a, b, c = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
     det = a * c - b * b
-    bad = np.flatnonzero(~((tr > 0.0) & (det > 0.0)))
+    bad = np.flatnonzero(~((a + c > 0.0) & (det > 0.0)))
     if bad.size:
-        raise ConeViolationError(np.linalg.eigvalsh(mats[bad[0]]), nodes=bad)
-    cof = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2)
+        a_bad = duality.argument_matrix(y[bad[0]], hess[bad[0]])
+        raise ConeViolationError(np.linalg.eigvalsh(a_bad), nodes=bad)
+    w2 = 1.0 + (y * y).sum(axis=1)
+    ddet = np.stack([c, -2.0 * b, a])  # d det H against (H11, H12 + H21, H22)
     if k == 1:
-        value = det / tr
-        grad = (cof - value[:, None, None] * np.eye(2)) / tr[:, None, None]
-    else:
-        value = np.sqrt(det)
-        grad = cof / (2.0 * value)[:, None, None]
-    return value, grad
+        w3 = w2 * np.sqrt(w2)
+        # tr(G H) = g . (H11, H12, H22), so g is also its gradient
+        g = np.stack([1.0 + y[:, 0] ** 2, 2.0 * y[:, 0] * y[:, 1], 1.0 + y[:, 1] ** 2])
+        tr = (g * np.stack([a, b, c])).sum(axis=0)
+        value = w3 * det / tr
+        return value, (w3 * ddet - value * g) / tr
+    value = w2 * np.sqrt(det)
+    return value, ddet * (0.5 * value / det)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +139,6 @@ class DualProblem:
         self.omega = omega
         self.k = k
         self.psi_base = psi_base
-        # cached for the Jacobian's chain rule
-        self.wstar = duality.wstar(grid.nodes)
-        self.bstar = duality.bstar(grid.nodes)
         self.interior = grid.interior_idx
         self.boundary = grid.boundary_idx
 
@@ -148,20 +152,15 @@ class DualProblem:
         disc = np.sqrt((h[:, 0, 0] - h[:, 1, 1]) ** 2 + 4.0 * h[:, 0, 1] ** 2)
         return float((0.5 * (tr - disc)).min())
 
-    def argument_matrices(self, u: np.ndarray) -> np.ndarray:
-        """duality.argument_matrix at every node."""
-        return duality.argument_matrix(self.grid.nodes, self.grid.hessians(u))
-
     def boundary_h(self, du: np.ndarray) -> np.ndarray:
         """omega's defining function at the boundary gradients: the boundary rows."""
         return self.omega.h(du)
 
     def interior_sides(self, u: np.ndarray, eps: float):
         """(F*(A), psi*(y, u*)) at the interior nodes; ConeViolationError off the cone."""
-        a = self.argument_matrices(u)
-        fval, _ = dual_operator_batch(a[self.interior], self.k)
-        rhs = self.dual_psi(eps).evaluate(self.grid.nodes[self.interior], u[self.interior])
-        return fval, rhs
+        yi = self.grid.nodes[self.interior]
+        fval, _ = dual_operator_batch(self.grid.hessians(u)[self.interior], yi, self.k)
+        return fval, self.dual_psi(eps).evaluate(yi, u[self.interior])
 
     def residual(self, u: np.ndarray, eps: float) -> np.ndarray:
         """Residual vector; raises ConeViolationError off the convex cone."""
@@ -188,16 +187,14 @@ class DualProblem:
 
     def jacobian(self, u: np.ndarray, eps: float) -> sp.csr_matrix:
         grid, st = self.grid, self.grid.stencils
-        a = self.argument_matrices(u)
-        _, dop = dual_operator_batch(a[self.interior], self.k)
-        # chain rule through A = w* b* H b*: dF*/dH_pq = (w* b* F*' b*)_pq
-        bi = self.bstar[self.interior]
-        dh = self.wstar[self.interior, None, None] * (bi @ dop @ bi)
         # each row's coefficient of each operator in OPS, summed on the shared
         # pattern: interior rows take dF*/dH against (dxx, dxy, dyy), boundary
         # rows beta . (dx, dy) with beta = Dh_omega(Du*)
+        _, rows = dual_operator_batch(
+            grid.hessians(u)[self.interior], grid.nodes[self.interior], self.k
+        )
         coef = np.zeros((5, grid.n_nodes))
-        coef[2:, self.interior] = dh[:, 0, 0], 2.0 * dh[:, 0, 1], dh[:, 1, 1]
+        coef[2:, self.interior] = rows
         coef[:2, self.boundary] = self.omega.grad_h(grid.boundary_gradient(u)).T
         data = sum(c[st.rows] * w for c, w in zip(coef, st.weights))
         data[st.diag[self.interior]] -= self.dual_psi(eps).partial_z(

@@ -35,17 +35,22 @@ def _random_convex_jet(rng, n=2):
     return rng.normal(size=n) * 0.4, rng.normal() * 0.5, rng.normal(size=n) * 0.6, h
 
 
+def _columns(samples):
+    """The fields of equal-shape sample tuples, each stacked into one array."""
+    return tuple(np.array(x) for x in zip(*samples))
+
+
 def _stack(jets):
     """One Jets batch (m,) from jet tuples of one dimension, validated once."""
-    return Jets(*(np.array(x) for x in zip(*jets)))
+    return Jets(*_columns(jets))
 
 
-def _convex_jets_by_n(rng, count):
-    """count random convex jets of dimension 2..4, grouped by n in draw order."""
+def _grouped(rng, count, draw, hi):
+    """count samples draw(rng, n), n drawn in 2..hi-1 first, grouped by n in draw order."""
     by_n = {}
     for _ in range(count):
-        n = int(rng.integers(2, 5))
-        by_n.setdefault(n, []).append(_random_convex_jet(rng, n))
+        n = int(rng.integers(2, hi))
+        by_n.setdefault(n, []).append(draw(rng, n))
     return by_n
 
 
@@ -54,10 +59,7 @@ def _convex_jets_by_n(rng, count):
 
 def check_newton_maclaurin(seed):
     rng = np.random.default_rng(seed)
-    by_n = {}
-    for _ in range(2000):
-        n = int(rng.integers(2, 7))
-        by_n.setdefault(n, []).append(rng.uniform(0.05, 3.0, n))
+    by_n = _grouped(rng, 2000, lambda rng, n: rng.uniform(0.05, 3.0, n), 7)
     worst = 0.0
     for n, lams in by_n.items():
         e = symfun.sigma_all(np.array(lams))
@@ -71,20 +73,18 @@ def check_newton_maclaurin(seed):
 
 
 def check_operator_concavity(seed):
-    rng = np.random.default_rng(seed)
-    by_n = {}
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
+    def draw(rng, n):
         k = int(rng.integers(1, n + 1))
         mats = []
         for _ in range(2):
             b = rng.normal(size=(n, n))
             mats.append(b @ b.T + 0.3 * np.eye(n))
         t = rng.uniform()
-        by_n.setdefault(n, []).append((k, t, t * mats[0] + (1 - t) * mats[1], *mats))
+        return k, t, t * mats[0] + (1 - t) * mats[1], *mats
+
     worst = 0.0
-    for samples in by_n.values():
-        k, t, mid, m0, m1 = (np.array(x) for x in zip(*samples))
+    for samples in _grouped(np.random.default_rng(seed), 100, draw, 5).values():
+        k, t, mid, m0, m1 = _columns(samples)
         for mode in ("primal", "dual"):
             fm, f0, f1 = symfun.eval_operator(
                 symfun.SpectrumRequest(np.stack([mid, m0, m1]), k, mode)
@@ -94,32 +94,27 @@ def check_operator_concavity(seed):
 
 
 def check_duality_product(seed):
-    rng = np.random.default_rng(seed)
-    by_n = {}
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(1, n + 1))
-        by_n.setdefault(n, []).append((k, rng.uniform(0.05, 4.0, n)))
+    def draw(rng, n):
+        return int(rng.integers(1, n + 1)), rng.uniform(0.05, 4.0, n)
+
     worst = 0.0
-    for samples in by_n.values():
-        k, kappa = (np.array(x) for x in zip(*samples))
+    for samples in _grouped(np.random.default_rng(seed), 1000, draw, 7).values():
+        k, kappa = _columns(samples)
         worst = max(worst, np.abs(symfun.duality_product(kappa, k) - 1.0).max())
     return worst <= 1e-12, f"max |F F* - 1| = {worst:.2e}"
 
 
 def check_orthogonal_invariance(seed):
-    rng = np.random.default_rng(seed)
-    by_n = {}
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
+    def draw(rng, n):
         k = int(rng.integers(1, n + 1))
         b = rng.normal(size=(n, n))
         a = b @ b.T + 0.5 * np.eye(n)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        by_n.setdefault(n, []).append((k, (a, q.T @ a @ q)))
+        return k, (a, q.T @ a @ q)
+
     worst = 0.0
-    for samples in by_n.values():
-        k, pairs = (np.array(x) for x in zip(*samples))
+    for samples in _grouped(np.random.default_rng(seed), 50, draw, 6).values():
+        k, pairs = _columns(samples)
         f = symfun.eval_operator(
             symfun.SpectrumRequest(pairs, k[:, None], "primal")).value
         worst = max(worst, np.abs(f[:, 0] - f[:, 1]).max())
@@ -129,7 +124,7 @@ def check_orthogonal_invariance(seed):
 def check_curvature_pack_identities(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, jets in _convex_jets_by_n(rng, 100).items():
+    for n, jets in _grouped(rng, 100, _random_convex_jet, 5).items():
         pk = geometry.curvature_pack(_stack(jets))
         worst = max(worst, np.abs(pk.b @ pk.b - pk.g_inv).max(),
                     np.abs(pk.b @ pk.b_inv - np.eye(n)).max())
@@ -139,7 +134,7 @@ def check_curvature_pack_identities(seed):
 def check_shape_operator_similarity(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for jets in _convex_jets_by_n(rng, 100).values():
+    for jets in _grouped(rng, 100, _random_convex_jet, 5).values():
         pk = geometry.curvature_pack(_stack(jets))
         shape = pk.second_form @ pk.g_inv
         kappa2 = np.sort(np.linalg.eigvals(shape).real, axis=-1)
@@ -148,18 +143,15 @@ def check_shape_operator_similarity(seed):
 
 
 def check_rotation_invariance_residual(seed):
-    rng = np.random.default_rng(seed)
-    ps = constant_psi(1.3)
-    by_n = {}
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
+    def draw(rng, n):
         k = int(rng.integers(1, n + 1))
         point, value, gradient, hessian = jet = _random_convex_jet(rng, n)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        jet_rot = (q.T @ point, value, q.T @ gradient, q.T @ hessian @ q)
-        by_n.setdefault(n, []).append((k, jet, jet_rot))
+        return k, jet, (q.T @ point, value, q.T @ gradient, q.T @ hessian @ q)
+
+    ps = constant_psi(1.3)
     worst = 0.0
-    for samples in by_n.values():
+    for samples in _grouped(np.random.default_rng(seed), 50, draw, 5).values():
         k, jets, jets_rot = zip(*samples)
         jets = _stack([j for pair in zip(jets, jets_rot) for j in pair])
         r = geometry.primal_residual(jets, np.repeat(k, 2), ps)
@@ -208,16 +200,17 @@ def check_linearization_fd(seed):
 # --- duality suite ----------------------------------------------------------
 
 
+def _random_chart_point(rng, n):
+    """A chart point y in R^n with independent N(0, 4) coordinates."""
+    return rng.normal(size=n) * 2.0
+
+
 def check_bstar_square_root(seed):
     """b* is the positive square root of I + y y^T with b*_inv its inverse."""
     rng = np.random.default_rng(seed)
-    by_n = {}
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        by_n.setdefault(n, []).append(rng.normal(size=n) * 2.0)
     worst = 0.0
     min_eig = np.inf
-    for n, ys in by_n.items():
+    for n, ys in _grouped(rng, 200, _random_chart_point, 5).items():
         y = np.array(ys)
         b = duality.bstar(y)
         outer = y[:, :, None] * y[:, None, :]
@@ -230,12 +223,8 @@ def check_bstar_square_root(seed):
 
 def check_projection_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    by_n = {}
-    for _ in range(1000):
-        n = int(rng.integers(2, 5))
-        by_n.setdefault(n, []).append(rng.normal(size=n) * 2.0)
     worst = 0.0
-    for ys in by_n.values():
+    for ys in _grouped(rng, 1000, _random_chart_point, 5).values():
         y = np.array(ys)
         worst = max(worst, np.abs(duality.project(duality.unproject(y)) - y).max())
     return worst <= 1e-13, f"max roundtrip gap {worst:.2e}"
@@ -244,7 +233,7 @@ def check_projection_roundtrip(seed):
 def check_gauss_chart_consistency(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for jets in _convex_jets_by_n(rng, 200).values():
+    for jets in _grouped(rng, 200, _random_convex_jet, 5).values():
         batch = _stack(jets)
         pk = geometry.curvature_pack(batch)
         worst = max(

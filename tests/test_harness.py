@@ -155,10 +155,10 @@ class TestReports:
         from khgraph.registry import cap_dual_exact
 
         grid = build_grid(bodies.ball(0.5), 16, 32)
-        problem = solver.DualProblem(grid, bodies.ball(0.5), 1, cap_constant_psi(0.5, 1))
         u = cap_dual_exact(grid.nodes, 0.5) + 0.1 * grid.nodes[:, 0] ** 3
         du = grid.gradient(u)
-        radii = np.sort(np.linalg.eigvalsh(problem.argument_matrices(u)), axis=1)
+        mats = duality.argument_matrix(grid.nodes, grid.hessians(u))
+        radii = np.sort(np.linalg.eigvalsh(mats), axis=1)
         du[3, 1] = -0.0
         args = (grid.nodes, u, du, radii)
         report.write_grid_csv(tmp_path / "new.csv", *args)

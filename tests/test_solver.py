@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from khgraph import bodies, rotations, solver, symfun
+from khgraph import bodies, duality, rotations, solver, symfun
 from khgraph.config import NEWTON_TOL
 from khgraph.errors import (
     ConeViolationError,
@@ -43,22 +43,33 @@ def smooth_noise(nodes, amp, rng):
     )
 
 
+def random_chart_points(rng, m, reach=1.5):
+    """m chart points y with |y| uniform in [0, reach)."""
+    y = rng.normal(size=(m, 2))
+    return y * (reach * rng.uniform(size=m) / np.linalg.norm(y, axis=1))[:, None]
+
+
 class TestBatchedOperator:
     def test_matches_symfun_reference(self):
+        # the oracle: the n-dimensional operator on the argument matrix
+        # A = w* b* H b*, and the chain rule dF*/dH = w* b* F*'(A) b*
         rng = np.random.default_rng(0)
-        mats = []
-        for _ in range(50):
-            b = rng.normal(size=(2, 2))
-            mats.append(b @ b.T + 0.3 * np.eye(2))
-        mats = np.stack(mats)
+        b = rng.normal(size=(50, 2, 2))
+        hess = b @ b.transpose(0, 2, 1) + 0.3 * np.eye(2)
+        y = random_chart_points(rng, 50)
         for k in (1, 2):
-            vals, grads = solver.dual_operator_batch(mats, k)
+            vals, rows = solver.dual_operator_batch(hess, y, k)
+            assert rows.shape == (3, 50)
             for m in range(50):
-                op = symfun.eval_operator(
-                    symfun.SpectrumRequest(mats[m], k, "dual")
-                )
+                op = symfun.eval_operator(symfun.SpectrumRequest(
+                    duality.argument_matrix(y[m], hess[m]), k, "dual"))
+                bs = duality.bstar(y[m])
+                dh = duality.wstar(y[m]) * (bs @ op.gradient @ bs)
+                oracle = [dh[0, 0], dh[0, 1] + dh[1, 0], dh[1, 1]]
                 assert vals[m] == pytest.approx(op.value, rel=1e-12)
-                np.testing.assert_allclose(grads[m], op.gradient, atol=1e-12)
+                np.testing.assert_allclose(
+                    rows[:, m], oracle, rtol=0, atol=1e-12 * np.abs(oracle).max()
+                )
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(
@@ -71,15 +82,17 @@ class TestBatchedOperator:
         # det > 0 and only its trace gives it away
         rng = np.random.default_rng(3)
         b = rng.normal(size=(8, 2, 2))
-        mats = b @ b.transpose(0, 2, 1) + 0.3 * np.eye(2)
-        mats[2] = bad
-        mats[5] = 3.0 * np.asarray(bad)
+        hess = b @ b.transpose(0, 2, 1) + 0.3 * np.eye(2)
+        hess[2] = bad
+        hess[5] = 3.0 * np.asarray(bad)
+        y = random_chart_points(rng, 8)
+        assert np.all(np.linalg.norm(y, axis=1) > 0.0)
         with pytest.raises(ConeViolationError) as info:
-            solver.dual_operator_batch(mats, k)
+            solver.dual_operator_batch(hess, y, k)
         np.testing.assert_array_equal(info.value.nodes, [2, 5])
-        np.testing.assert_allclose(
-            info.value.eigenvalues, np.sort(np.linalg.eigvals(bad).real), atol=1e-14
-        )
+        # the spectrum reported is that of the argument matrix, not of H
+        expected = np.linalg.eigvalsh(duality.argument_matrix(y[2], np.asarray(bad)))
+        np.testing.assert_allclose(info.value.eigenvalues, expected, rtol=1e-14, atol=1e-14)
 
 
 class TestResidual:
@@ -120,14 +133,23 @@ class TestResidual:
 
 
 class TestJacobian:
-    def test_finite_difference_sweep(self, cap_setup):
-        grid, omega, problem = cap_setup
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "target",
+        [bodies.ball(RHO), bodies.ellipse([0.45, 0.3], angle=0.3)],
+        ids=["ball", "ellipse"],
+    )
+    def test_finite_difference_sweep(self, target, k):
+        grid = build_grid(target, 16, 32)
+        omega = bodies.ball(RHO)
+        problem = solver.DualProblem(grid, omega, k, cap_constant_psi(RHO, k))
         rng = np.random.default_rng(2)
-        worst = 0.0
+        worst, states = 0.0, 0
         for _ in range(20):
             u = cap_dual_exact(grid.nodes, RHO) + smooth_noise(grid.nodes, 3e-2, rng)
             if problem.spd_margin(u) < solver.SPD_FLOOR:
                 continue
+            states += 1
             jac = problem.jacobian(u, 0.15)
             t = 1e-6
             for _ in range(3):
@@ -141,7 +163,7 @@ class TestJacobian:
                     worst,
                     np.abs(jac @ d - fd).max() / max(np.abs(fd).max(), 1.0),
                 )
-        assert worst <= 1e-6
+        assert states >= 10 and worst <= 1e-6
 
     def test_solve_and_check_at_exact_cap(self, cap_setup):
         grid, omega, problem = cap_setup
