@@ -12,7 +12,7 @@ from .errors import ConfigError, StrictConvexityError
 # the one home of the solver's defaults and limits; solver and grid import them
 DEFAULT_GRID = (64, 128)
 MIN_GRID = (8, 16)  # fewest rings and rays a grid may have
-DEFAULT_EPS_SCHEDULE = (0.4, 0.2, 0.1, 0.05, 0.025)
+DEFAULT_EPS_SCHEDULE = (0.4, 0.2, 0.1)
 NEWTON_TOL = 1e-10
 SPD_FLOOR = 1e-8
 

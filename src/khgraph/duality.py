@@ -111,7 +111,7 @@ def dual_chart_pack(jet_star: Jets) -> DualChartPack:
     """The pack of jets of u*, of any leading axes, at their points."""
     dual = argument_matrix(jet_star.point, jet_star.hessian)
     # eigh, not eigvalsh, as in geometry.curvature_pack
-    return DualChartPack(dual_matrix=dual, radii=np.linalg.eigh(dual).eigenvalues)
+    return DualChartPack(dual_matrix=dual, radii=symfun.eigh(dual)[0])
 
 
 def gauss_image(jet: Jets) -> np.ndarray:

@@ -103,7 +103,7 @@ def curvature_pack(jet: Jets) -> CurvaturePack:
     a = (b @ hess @ b) / wm
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     # eigh, the route of symfun.eval_operator; eigvalsh rounds differently for n > 2
-    kappa = np.linalg.eigh(a).eigenvalues
+    kappa = symfun.eigh(a)[0]
     normal = np.concatenate([-du, np.ones(du.shape[:-1] + (1,))], axis=-1) / w[..., None]
     return CurvaturePack(
         w=w,

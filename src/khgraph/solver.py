@@ -31,8 +31,10 @@ The tol/100 floor keeps the converged answer that of exact Newton to rounding.
 
 The constant reported by the continuation is the one of the un-powered
 equation sigma_k(kappa) = c psi0^k: the recovered primal mean satisfies
-k * eps * mean(u_eps) -> log c, which is Richardson-extrapolated linearly in
-eps from the last two levels.
+k * eps * mean(u_eps) -> log c, which is extrapolated to eps = 0 by the
+quadratic in eps through the last three levels.  Its eps error is then far
+below the discretisation error, so the default schedule stops at eps = 0.1,
+away from the small eps where the linearisation nears singular.
 """
 
 from __future__ import annotations
@@ -431,8 +433,11 @@ def continuation_solve(
 
     Each history record holds the level's eps, Newton iterations, start and
     final residuals, primal mean, and the fresh factors and GMRES iterations
-    its linear solves took.  c_estimate extrapolates
-    k * eps * mean(u_eps) linearly in eps to zero from the last two levels.
+    its linear solves took.  c_estimate is exp of k * eps * mean(u_eps)
+    extrapolated in eps to zero by the quadratic through the last three
+    levels (the line through both levels of a two-level schedule, the value
+    itself for one level).  Everything else in the state, mean_u included, is
+    the last level's.
     The returned state keeps the last level's nodal gradient and Hessians,
     which its primal mean was computed from.  A failing level raises
     ContinuationError carrying the history records of the levels completed
@@ -475,14 +480,27 @@ def continuation_solve(
                         "factors": kept.factors - factors,
                         "krylov_iterations": kept.krylov_iterations - krylov})
         logc.append(k * eps * mean_u)
-    if len(logc) >= 2:
-        e1, e2 = schedule[-2], schedule[-1]
-        g1, g2 = logc[-2], logc[-1]
-        logc0 = g2 - e2 * (g1 - g2) / (e1 - e2)
-    else:
-        logc0 = logc[-1]
     return SolverState(problem=problem, u_star=u, history=history,
-                       c_estimate=float(np.exp(logc0)), gradient=du, hessians=hess)
+                       c_estimate=float(np.exp(_extrapolate_to_zero(schedule, logc))),
+                       gradient=du, hessians=hess)
+
+
+def _extrapolate_to_zero(eps: list, g: list) -> float:
+    """Value at eps = 0 of the polynomial through the last (up to) three (eps, g) pairs.
+
+    Three or more levels take the quadratic (Lagrange) through the last
+    three, two the line through both, one its own value.
+    """
+    if len(g) >= 3:
+        e, g = eps[-3:], g[-3:]
+        return sum(
+            g[i] * np.prod([e[j] / (e[j] - e[i]) for j in range(3) if j != i])
+            for i in range(3)
+        )
+    if len(g) == 2:
+        (e1, e2), (g1, g2) = eps, g
+        return g2 - e2 * (g1 - g2) / (e1 - e2)
+    return g[-1]
 
 
 @dataclass

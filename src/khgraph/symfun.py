@@ -7,7 +7,8 @@ Legendre duality used everywhere else in the package.
 
 All functions here are pure and thread-safe.  The working range is small dense
 symmetric matrices (n <= 8); eigenpairs come from LAPACK through
-np.linalg.eigh, whose gufunc factors each matrix on its own.  The tests keep a
+np.linalg.eigh, whose gufunc factors each matrix on its own; eigh below gives
+a matrix with a non-finite entry NaN eigenpairs instead.  The tests keep a
 one-matrix cyclic Jacobi iteration as the LAPACK-independent oracle.
 
 Broadcast contract: every kernel takes leading axes, matrices (..., n, n) and
@@ -207,16 +208,32 @@ def _merge_degenerate(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return phi
 
 
+def eigh(a: np.ndarray):
+    """(eigenvalues, eigenvectors) of np.linalg.eigh, NaN on non-finite matrices.
+
+    LAPACK's eigh raises LinAlgError for the whole batch when one matrix of
+    size 3 to 8 is all-NaN, so only the finite matrices go to it and the
+    others get NaN eigenpairs.  An all-finite batch is the plain call.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigh(a)
+    lam, v = np.full(a.shape[:-1], np.nan), np.full(a.shape, np.nan)
+    lam[finite], v[finite] = np.linalg.eigh(a[finite])
+    return lam, v
+
+
 def eval_operator(req: SpectrumRequest) -> OperatorValue:
     """Evaluate F or F* with its matrix gradient by the spectral chain rule.
 
-    The gradient is V diag(dphi/dlambda) V^T from LAPACK's per-matrix eigh;
+    The gradient is V diag(dphi/dlambda) V^T from LAPACK's per-matrix eigh
+    (the guarded eigh above, so a non-finite matrix gives a NaN row);
     near-degenerate eigenvalue pairs take the divided-difference (cluster
     averaged) partials, so the gradient does not depend on the basis eigh
     picks inside a cluster.  Raises ConeViolationError when a spectrum leaves
     the positive cone.  Fields carry req.A's leading axes.
     """
-    lam, v = np.linalg.eigh(req.A)
+    lam, v = eigh(req.A)
     bad = lam[..., 0] <= 0.0
     if np.count_nonzero(bad):
         raise ConeViolationError(_first(lam, bad))

@@ -30,7 +30,7 @@ class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL))
         assert cfg.grid == (64, 128)
-        assert cfg.continuation == [0.4, 0.2, 0.1, 0.05, 0.025]
+        assert cfg.continuation == [0.4, 0.2, 0.1]
         assert cfg.tolerances == {"newton_tol": 1e-10, "spd_floor": 1e-8}
         assert cfg.omega.kind == "ball"
         assert cfg.psi.kind == "constant"

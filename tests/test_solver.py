@@ -265,7 +265,7 @@ class TestLinearSolve:
         # level as exact Newton had them, with at most two factors in all
         grid, problem, _ = cap32
         state = solver.continuation_solve(grid, problem.omega, 1, constant_psi(1.0))
-        assert [h["iterations"] for h in state.history] == [3, 3, 2, 2, 1]
+        assert [h["iterations"] for h in state.history] == [3, 3, 2]
         assert sum(h["factors"] for h in state.history) <= 2
         assert all(h["krylov_iterations"] >= h["iterations"] for h in state.history[1:])
 
@@ -388,6 +388,43 @@ class TestContinuation:
             with pytest.raises(ValueError):
                 solver.continuation_solve(grid, omega, 1, constant_psi(1.0),
                                           eps_schedule=schedule)
+
+    @pytest.mark.parametrize("eps", [(0.4, 0.2, 0.1), (0.4, 0.2, 0.1, 0.05, 0.025)])
+    def test_extrapolant_exact_on_quadratics(self, eps):
+        # the quadratic through the last three levels, (0.1, 0.05, 0.025) on
+        # the five-level schedule, recovers g(0) of a quadratic g to rounding
+        a, b, c = 0.7, -1.3, 2.9
+        g = [a + b * e + c * e * e for e in eps]
+        got = solver._extrapolate_to_zero(list(eps), g)
+        assert abs(got - a) <= 16 * np.finfo(float).eps * max(map(abs, g))
+
+    @pytest.mark.parametrize("schedule", [[0.4, 0.2], [0.4]])
+    def test_short_schedules_extrapolate_as_before(self, cap_setup, schedule):
+        # two levels keep the line through both, one level its own value
+        grid, omega, _ = cap_setup
+        state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0),
+                                          eps_schedule=schedule)
+        g = [h["eps"] * h["mean_u"] for h in state.history]
+        if len(g) == 2:
+            (e1, e2), (g1, g2) = schedule, g
+            expected = g2 - e2 * (g1 - g2) / (e1 - e2)
+        else:
+            expected = g[0]
+        assert state.c_estimate == float(np.exp(expected))
+
+    def test_eps_error_far_below_discretisation_error(self, cap_setup):
+        # the quadratics through 0.4/0.2/0.1 (the default schedule) and
+        # through 0.1/0.05/0.025 differ by under 1% of the 16x32 cap's
+        # discretisation error of c (about 2e-3; the gap is below 1e-6)
+        grid, omega, _ = cap_setup
+        schedule = [0.4, 0.2, 0.1, 0.05, 0.025]
+        state = solver.continuation_solve(grid, omega, 1, constant_psi(1.0),
+                                          eps_schedule=schedule)
+        g = [h["eps"] * h["mean_u"] for h in state.history]
+        first = np.exp(solver._extrapolate_to_zero(schedule[:3], g[:3]))
+        c = state.c_estimate
+        exact = cap_exact_constant(RHO, 1)
+        assert abs(first - c) / c < 0.01 * abs(c - exact) / exact
 
     def test_levels_start_from_prediction(self, cap_setup):
         # an unchanged warm start would begin each later level at residual

@@ -103,6 +103,37 @@ def test_nan_entry_gives_nan_eigenvalues():
         assert np.isnan(got).any()
 
 
+def test_nan_matrix_gives_nan_row_only():
+    # LAPACK's eigh raises for a whole batch holding one all-NaN matrix of
+    # size 3 to 8; the guard gives that row NaN and leaves the other rows
+    # the plain call's, in eigh and in the three kernels on top of it
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 3, 3))
+    a = a @ a.swapaxes(-1, -2) + np.eye(3)
+    nan_row, keep = 2, [0, 1, 3]
+    a[nan_row] = np.nan
+    lam, v = symfun.eigh(a)
+    ref = np.linalg.eigh(a[keep])
+    assert np.isnan(lam[nan_row]).all() and np.isnan(v[nan_row]).all()
+    np.testing.assert_array_equal(lam[keep], ref.eigenvalues)
+    np.testing.assert_array_equal(v[keep], ref.eigenvectors)
+
+    op = symfun.eval_operator(SpectrumRequest(a, 2, "primal"))
+    op_ref = symfun.eval_operator(SpectrumRequest(a[keep], 2, "primal"))
+    assert np.isnan(op.value[nan_row])
+    np.testing.assert_array_equal(op.value[keep], op_ref.value)
+    np.testing.assert_array_equal(op.gradient[keep], op_ref.gradient)
+
+    x = 0.1 * rng.normal(size=(4, 3))
+    jet = Jets(x, np.zeros(4), 0.1 * x, a)
+    jet_ref = Jets(x[keep], np.zeros(3), 0.1 * x[keep], a[keep])
+    for kernel in (lambda j: geometry.curvature_pack(j).kappa,
+                   lambda j: duality.dual_chart_pack(j).radii):
+        got = kernel(jet)
+        assert np.isnan(got[nan_row]).all()
+        np.testing.assert_array_equal(got[keep], kernel(jet_ref))
+
+
 def test_eval_operator_identity_matrix():
     op = symfun.eval_operator(SpectrumRequest(np.eye(3), 2, "primal"))
     assert op.value == pytest.approx(np.sqrt(3.0), rel=1e-14)
