@@ -21,13 +21,17 @@ The grid is planar, so F* sees its argument only through det and tr, both
 read in closed form off D^2u* (dual_operator_batch); symfun.eval_operator is
 its oracle.
 Newton is inexact: each step only has to meet the forcing term
-|J s + F| <= min(min(0.1, |F|) |F|, tol/100) in the sup norm.  A
-continuation keeps one SuperLU factor (minimum degree on J^T J, SuperLU's
+|J s + F| <= max(min(0.1, |F|) |F|, tol/100) in the sup norm (forcing_term).
+A continuation keeps one SuperLU factor (minimum degree on J^T J, SuperLU's
 MMD_ATA, with partial pivoting) across its Newton iterations and eps levels,
 and solves each system by GMRES preconditioned with it.  Only when GMRES
 misses the forcing term within GMRES_MAX_ITER iterations is the current
 Jacobian factored afresh, and its direct solve, the exact Newton step, taken.
-The tol/100 floor keeps the converged answer that of exact Newton to rounding.
+Newton still ends a level only at |F| <= tol, so a converged answer agrees
+with exact Newton's to within about tol, not to rounding.
+DualProblem evaluates each distinct u* once: the line search's SPD margin and
+residual and the next iteration's Jacobian share one application of the
+Hessian stencils.
 
 The constant reported by the continuation is the one of the un-powered
 equation sigma_k(kappa) = c psi0^k: the recovered primal mean satisfies
@@ -133,7 +137,9 @@ class DualProblem:
 
     omega is the source body (its defining function drives the boundary
     rows); psi_base is the primal psi0 (constant or normal-only) that the
-    continuation wraps exponentially.
+    continuation wraps exponentially.  The methods share one _Evaluation of
+    the last u* they were given, so each distinct state applies the Hessian
+    stencils once.
     """
 
     def __init__(self, grid: Grid, omega: ConvexBody, k: int, psi_base: PsiSpec):
@@ -143,16 +149,21 @@ class DualProblem:
         self.psi_base = psi_base
         self.interior = grid.interior_idx
         self.boundary = grid.boundary_idx
+        self._last: _Evaluation | None = None
+
+    def _evaluation(self, u: np.ndarray) -> _Evaluation:
+        """The u*-only pieces of the rows at u, shared while u keeps the last call's values."""
+        u = np.asarray(u, dtype=float)
+        if self._last is None or not np.array_equal(self._last.u, u):
+            self._last = _Evaluation(self.grid, self.k, u)
+        return self._last
 
     def dual_psi(self, eps: float) -> duality.DualPsi:
         return duality.DualPsi(exponential_psi(eps, self.psi_base))
 
     def spd_margin(self, u: np.ndarray) -> float:
         """Smallest eigenvalue of the node Hessian estimates."""
-        h = self.grid.hessians(u)
-        tr = h[:, 0, 0] + h[:, 1, 1]
-        disc = np.sqrt((h[:, 0, 0] - h[:, 1, 1]) ** 2 + 4.0 * h[:, 0, 1] ** 2)
-        return float((0.5 * (tr - disc)).min())
+        return self._evaluation(u).margin
 
     def boundary_h(self, du: np.ndarray) -> np.ndarray:
         """omega's defining function at the boundary gradients: the boundary rows."""
@@ -160,16 +171,15 @@ class DualProblem:
 
     def interior_sides(self, u: np.ndarray, eps: float):
         """(F*(A), psi*(y, u*)) at the interior nodes; ConeViolationError off the cone."""
-        yi = self.grid.nodes[self.interior]
-        fval, _ = dual_operator_batch(self.grid.hessians(u)[self.interior], yi, self.k)
-        return fval, self.dual_psi(eps).evaluate(yi, u[self.interior])
+        fval, _ = self._evaluation(u).operator
+        return fval, self.dual_psi(eps).evaluate(self.grid.nodes[self.interior], u[self.interior])
 
     def residual(self, u: np.ndarray, eps: float) -> np.ndarray:
         """Residual vector; raises ConeViolationError off the convex cone."""
         fval, rhs = self.interior_sides(u, eps)
         res = np.empty(self.grid.n_nodes)
         res[self.interior] = fval - rhs
-        res[self.boundary] = self.boundary_h(self.grid.boundary_gradient(u))
+        res[self.boundary] = self.boundary_h(self._evaluation(u).boundary_gradient)
         return res
 
     def balancing_shift(self, u: np.ndarray, eps: float) -> float:
@@ -188,21 +198,60 @@ class DualProblem:
         return float(np.mean(np.log(fval / rhs) / rate))
 
     def jacobian(self, u: np.ndarray, eps: float) -> sp.csr_matrix:
-        grid, st = self.grid, self.grid.stencils
+        grid, st, at = self.grid, self.grid.stencils, self._evaluation(u)
         # each row's coefficient of each operator in OPS, summed on the shared
         # pattern: interior rows take dF*/dH against (dxx, dxy, dyy), boundary
         # rows beta . (dx, dy) with beta = Dh_omega(Du*)
-        _, rows = dual_operator_batch(
-            grid.hessians(u)[self.interior], grid.nodes[self.interior], self.k
-        )
         coef = np.zeros((5, grid.n_nodes))
-        coef[2:, self.interior] = rows
-        coef[:2, self.boundary] = self.omega.grad_h(grid.boundary_gradient(u)).T
+        coef[2:, self.interior] = at.operator[1]
+        coef[:2, self.boundary] = self.omega.grad_h(at.boundary_gradient).T
         data = sum(c[st.rows] * w for c, w in zip(coef, st.weights))
         data[st.diag[self.interior]] -= self.dual_psi(eps).partial_z(
             grid.nodes[self.interior], u[self.interior]
         )
         return sp.csr_matrix((data, st.indices, st.indptr), shape=(grid.n_nodes,) * 2)
+
+
+class _Evaluation:
+    """The pieces of the rows that depend on u* alone, at one state u*.
+
+    The Hessian stencils are applied once, on construction; the SPD margin,
+    (F*, dF*/dH) at the interior nodes and the boundary gradient follow on
+    first use.  u is a copy, so an array the caller changes in place is a
+    new state.  Every array handed out is read-only, as each reader shares
+    it.  Off the cone, operator raises ConeViolationError on every read and
+    is never stored.
+    """
+
+    def __init__(self, grid: Grid, k: int, u: np.ndarray):
+        # no reference back to the DualProblem: a cycle would keep each
+        # solve's grid alive until the cyclic collector runs
+        self.grid = grid
+        self.k = k
+        self.u = _read_only(u.copy())
+        self.hessians = _read_only(grid.hessians(u))
+
+    @cached_property
+    def margin(self) -> float:
+        h = self.hessians
+        tr = h[:, 0, 0] + h[:, 1, 1]
+        disc = np.sqrt((h[:, 0, 0] - h[:, 1, 1]) ** 2 + 4.0 * h[:, 0, 1] ** 2)
+        return float((0.5 * (tr - disc)).min())
+
+    @cached_property
+    def operator(self) -> tuple[np.ndarray, np.ndarray]:
+        inner = self.grid.interior_idx
+        fval, rows = dual_operator_batch(self.hessians[inner], self.grid.nodes[inner], self.k)
+        return _read_only(fval), _read_only(rows)
+
+    @cached_property
+    def boundary_gradient(self) -> np.ndarray:
+        return _read_only(self.grid.boundary_gradient(self.u))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def initial_guess(grid: Grid, omega: ConvexBody) -> np.ndarray:
@@ -314,9 +363,8 @@ def newton_step(jac: sp.csr_matrix, res: np.ndarray, kept: KeptFactor, target: f
     GMRES preconditioned by the kept factor gets GMRES_MAX_ITER iterations
     to meet |jac step + res|_inf <= target, and its step is taken only if it
     does.  A miss, or no kept factor, refactors at jac and takes the direct
-    solve, the exact Newton step, unchecked: far from the solution the
-    target can sit below the rounding of jac step + res itself (9e-12 for a
-    direct solve at |res| = 1.09 on a 32x64 cap, against 1e-12).
+    solve, the exact Newton step, without checking it against target: its
+    residual is rounding alone (9e-12 at |res| = 1.09 on a 32x64 cap).
     """
     if kept.lu is not None:
         step, iters = gmres(jac, -res, kept.lu.solve, target, GMRES_MAX_ITER)
@@ -328,6 +376,18 @@ def newton_step(jac: sp.csr_matrix, res: np.ndarray, kept: KeptFactor, target: f
     if not np.all(np.isfinite(step)):
         raise SingularJacobianError()
     return step
+
+
+def forcing_term(rn: float, tol: float) -> float:
+    """Target of |J s + F|_inf for a Newton system at residual sup norm rn.
+
+    max(min(0.1, rn) rn, tol/100): eta = min(0.1, rn) keeps Newton's
+    quadratic convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+    19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), and the
+    tol/100 floor keeps the last systems of a level from being solved far
+    below the tol that ends it.
+    """
+    return max(min(0.1, rn) * rn, tol / 100.0)
 
 
 def newton_solve(
@@ -342,10 +402,9 @@ def newton_solve(
     """Inexact damped Newton with backtracking on the residual sup norm.
 
     Each Newton system is solved to the forcing term
-    |J s + F|_inf <= min(min(0.1, |F|) |F|, tol/100), all sup norms: eta =
-    min(0.1, |F|) keeps Newton's quadratic convergence (Dembo, Eisenstat &
-    Steihaug, SIAM J. Numer. Anal. 19, 1982) and the tol/100 floor keeps the
-    converged answer that of exact Newton to rounding.  The solve reuses
+    |J s + F|_inf <= max(min(0.1, |F|) |F|, tol/100), all sup norms
+    (forcing_term).  Newton stops only at |F|_inf <= tol, so the converged
+    answer agrees with exact Newton's to within about tol.  The solve reuses
     kept's factor (see newton_step); without one, the first iteration
     factors.  Trial steps that push any node Hessian below the SPD floor are
     rejected by the line search; cone violations during probing are caught
@@ -363,8 +422,7 @@ def newton_solve(
     for it in range(max_iter):
         if rn <= tol:
             return u, it, hist
-        target = min(min(0.1, rn) * rn, tol / 100.0)
-        step = newton_step(problem.jacobian(u, eps), res, kept, target)
+        step = newton_step(problem.jacobian(u, eps), res, kept, forcing_term(rn, tol))
         alpha = 1.0
         while True:
             u_try = u + alpha * step
@@ -473,7 +531,7 @@ def continuation_solve(
                 f"continuation failed at eps = {eps:g}: {exc}", history
             ) from exc
         solved = solved[-1:] + [(eps, u)]
-        du, hess = grid.gradient(u), grid.hessians(u)
+        du, hess = grid.gradient(u), problem._evaluation(u).hessians
         mean_u = primal_mean(grid, u, du, hess)
         history.append({"eps": eps, "iterations": iters, "start_residual": hist[0],
                         "residual": hist[-1], "mean_u": mean_u,

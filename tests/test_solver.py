@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -269,6 +272,22 @@ class TestLinearSolve:
         assert sum(h["factors"] for h in state.history) <= 2
         assert all(h["krylov_iterations"] >= h["iterations"] for h in state.history[1:])
 
+    def test_continuation_does_only_the_work_it_needs(self, cap32):
+        # the forcing term asks each system for no more than Newton needs:
+        # the same Newton iterations, at most two factors and at most 20
+        # GMRES iterations in all (35 when every system was solved to 1e-12)
+        grid, problem, _ = cap32
+        state = solver.continuation_solve(grid, problem.omega, 1, constant_psi(1.0))
+        assert [h["iterations"] for h in state.history] == [3, 3, 2]
+        assert sum(h["factors"] for h in state.history) <= 2
+        assert sum(h["krylov_iterations"] for h in state.history) <= 20
+        assert all(h["residual"] <= NEWTON_TOL for h in state.history)
+
+    @pytest.mark.parametrize("rn, target", [(1.0, 0.1), (1e-3, 1e-6), (1e-8, NEWTON_TOL / 100)])
+    def test_forcing_term_regimes(self, rn, target):
+        # eta = 0.1 far out, eta = |F| (quadratic) nearer, the tol/100 floor last
+        assert solver.forcing_term(rn, NEWTON_TOL) == pytest.approx(target, rel=1e-15)
+
     @pytest.mark.parametrize("source, factors", [("eps", 1), ("problem", 2)])
     def test_stale_factor_step_meets_forcing_term(self, cap32, source, factors):
         # a factor kept from another eps preconditions GMRES to the forcing
@@ -288,7 +307,7 @@ class TestLinearSolve:
         kept.refactor(stale)
         res = problem.residual(u, 0.4)
         rn = np.abs(res).max()
-        target = min(min(0.1, rn) * rn, NEWTON_TOL / 100)
+        target = solver.forcing_term(rn, NEWTON_TOL)
         jac = problem.jacobian(u, 0.4)
         step = solver.newton_step(jac, res, kept, target)
         assert np.abs(jac @ step + res).max() <= target
@@ -350,6 +369,67 @@ class TestLinearSolve:
             solver.continuation_solve(grid, omega, 1, constant_psi(1.0))
         assert len(calls) == 2
         assert isinstance(err.value.__cause__, SingularJacobianError)
+
+
+class TestSharedEvaluation:
+    """One Hessian application per distinct state, and never a stale one."""
+
+    @pytest.fixture
+    def problem(self):
+        grid = build_grid(bodies.ball(RHO), 32, 64)
+        return solver.DualProblem(grid, bodies.ball(RHO), 1, constant_psi(1.0))
+
+    @staticmethod
+    def assert_same_as_fresh(problem, u, eps):
+        fresh = solver.DualProblem(problem.grid, problem.omega, problem.k, problem.psi_base)
+        assert problem.spd_margin(u) == fresh.spd_margin(u)
+        np.testing.assert_array_equal(problem.residual(u, eps), fresh.residual(u, eps))
+        jac, jac_fresh = problem.jacobian(u, eps), fresh.jacobian(u, eps)
+        np.testing.assert_array_equal(jac.data, jac_fresh.data)
+
+    def test_one_hessian_application_per_state(self, problem, monkeypatch):
+        # from the cap guess every trial is accepted, so the states are the
+        # start and one per iteration
+        states = []
+        real = type(problem.grid).hessians
+
+        def hessians(grid, u):
+            states.append(np.array(u, copy=True))
+            return real(grid, u)
+
+        monkeypatch.setattr(type(problem.grid), "hessians", hessians)
+        u0 = solver.initial_guess(problem.grid, problem.omega)
+        _, iters, _ = solver.newton_solve(problem, u0, 0.4)
+        assert len({s.tobytes() for s in states}) == len(states) == iters + 1
+
+    def test_state_changed_in_place_is_reevaluated(self, problem):
+        u = solver.initial_guess(problem.grid, problem.omega)
+        before = problem.residual(u, 0.4)
+        u[problem.grid.flat_index(8, 5)] += 1e-3
+        assert not np.array_equal(problem.residual(u, 0.4), before)
+        self.assert_same_as_fresh(problem, u, 0.4)
+
+    def test_repair_blends_are_reevaluated(self, problem):
+        x, y = problem.grid.nodes.T
+        u0 = solver.initial_guess(problem.grid, problem.omega) - 0.6 * (x * x + y * y)
+        assert problem.spd_margin(u0) < solver.SPD_FLOOR
+        u = solver.spd_repair(problem, u0, solver.SPD_FLOOR)
+        assert problem.spd_margin(u) >= 2.0 * solver.SPD_FLOOR
+        self.assert_same_as_fresh(problem, u, 0.4)
+        assert problem.spd_margin(u0) < solver.SPD_FLOOR  # back to the start, not a blend
+
+    def test_problem_freed_without_the_cycle_collector(self, problem):
+        # the shared evaluation must not point back at its problem: a cycle
+        # keeps every solve's grid alive until the collector runs
+        problem = solver.DualProblem(problem.grid, problem.omega, 1, constant_psi(1.0))
+        problem.jacobian(solver.initial_guess(problem.grid, problem.omega), 0.4)
+        ref = weakref.ref(problem)
+        gc.disable()
+        try:
+            del problem
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestContinuation:
